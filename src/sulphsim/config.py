@@ -8,6 +8,7 @@ names it by its label, e.g. "(A1): requires A > 0 and A + B*C0 > 0".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .grid import Edge, EdgeTag, ProfileLine, build_grid
@@ -239,7 +240,12 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
 
 def validate_config(cfg: RunConfig) -> list[str]:
     """Collect every violated invariant; empty list means valid."""
-    problems: list[str] = []
+    values = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+    problems: list[str] = [
+        f"{key} must be finite (got {v})"
+        for key, v in values.items()
+        if isinstance(v, float) and not math.isfinite(v)
+    ]
     try:
         p = cfg.phys()
         problems.extend(p.validate(enforce_global_bound=cfg.enforce_global_bound))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sulphsim.bulk import CgNonConvergence, LinearSystem, cg_solve
+from sulphsim.bulk import CgBreakdown, CgNonConvergence, FieldState, LinearSystem, cg_solve, step
+from sulphsim.grid import build_grid
+from sulphsim.model import PhysParams
 
 
 def csr_from_dense(a, b):
@@ -96,3 +98,27 @@ class TestNonConvergence:
         hist = exc.value.residual_history
         assert len(hist) >= 2
         assert all(h >= 0 for h in hist)
+
+
+class TestFailFast:
+    def test_non_finite_residual_raises_at_once(self):
+        a = np.array([[2.0, np.nan], [np.nan, 2.0]])
+        with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
+            cg_solve(csr_from_dense(a, np.ones(2)), x0=np.ones(2))
+
+    def test_indefinite_matrix_raises_on_nonpositive_curvature(self):
+        # positive diagonal, eigenvalues 3 and -1; r = p = (1, -1) has p.Ap < 0
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(CgBreakdown, match="not positive definite"):
+            cg_solve(csr_from_dense(a, np.array([1.0, -1.0])))
+
+    def test_nan_growth_rate_fails_in_first_solve(self):
+        # g = nan poisons nu(r) on the Robin edge; without the check CG ran
+        # all 10*n iterations before reporting non-convergence
+        p = PhysParams(g=float("nan"))
+        grid = build_grid(9, 9)
+        n = grid.n_nodes
+        r0 = np.full(len(grid.exposed_trace()), 0.2)
+        st = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
+        with pytest.raises(CgBreakdown, match="iteration 0"):
+            step(st, 1e-3, grid, p)

@@ -89,6 +89,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not grid-aligned"):
             parse_config("ny = 64\n")  # default profiles need x2 = 0.25 on the grid
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("g", "nan"), ("nu0", "nan"), ("dt", "inf"), ("lam", "inf"), ("weibull_r0", "-inf")],
+    )
+    def test_non_finite_number_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must be finite"):
+            parse_config(f"{key} = {value}\n")
+
     def test_every_violation_listed(self):
         try:
             parse_config("A = -1\nB = 2\ndt = 0\nsnapshot_steps = \n")
