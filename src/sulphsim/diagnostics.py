@@ -210,24 +210,35 @@ class ManufacturedFields:
     p: PhysParams
 
     def s_exact(self, x1, x2, t):
-        return math.exp(-t) * np.cos(np.pi * x1) * np.cos(np.pi * x2)
+        return self._s(np.cos(np.pi * x1), np.cos(np.pi * x2), t)
 
     def c_field(self, x1, x2, t):
-        return self.p.C0 * (0.5 + 0.25 * np.cos(np.pi * x1) * math.exp(-t))
+        return self._c(np.cos(np.pi * x1), t)
 
     def r_field(self, x2, t):
         return self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2)) * (1.0 - math.exp(-t))
 
+    # s and c in terms of the spatial factors cos(pi x1) and cos(pi x2), so
+    # source() evaluates each factor once.
+
+    def _s(self, cos1, cos2, t):
+        return math.exp(-t) * cos1 * cos2
+
+    def _c(self, cos1, t):
+        return self.p.C0 * (0.5 + 0.25 * cos1 * math.exp(-t))
+
     def source(self, x1, x2, t):
         """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
         p = self.p
-        s = self.s_exact(x1, x2, t)
-        c = self.c_field(x1, x2, t)
+        cos1 = np.cos(np.pi * x1)
+        cos2 = np.cos(np.pi * x2)
+        s = self._s(cos1, cos2, t)
+        c = self._c(cos1, t)
         phi = p.A + p.B * c
-        c_t = -0.25 * p.C0 * np.cos(np.pi * x1) * math.exp(-t)
+        c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * np.sin(np.pi * x1) ** 2 * np.cos(np.pi * x2)
+        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * np.sin(np.pi * x1) ** 2 * cos2
         return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
     def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
