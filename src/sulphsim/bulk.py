@@ -127,8 +127,9 @@ class _Pattern:
 
     Precomputes, once per grid, where each diagonal and face contribution
     lands in the CSR data array, so per-step assembly is pure vectorized
-    fills.  Face arrays are 2D: x-faces (ny, nx-1) join node (j, i) to
-    (j, i+1), y-faces (ny-1, nx) join (j, i) to (j+1, i).
+    fills, and the exposed-edge trace (None without an exposed edge).
+    Face arrays are 2D: x-faces (ny, nx-1) join node (j, i) to (j, i+1),
+    y-faces (ny-1, nx) join (j, i) to (j+1, i).
 
     Also holds the constant-coefficient model solve: with Q = Qy (x) Qx and
     eig = lam_y (+) lam_x (shape (ny, nx)), M = phi_bar*K + m_bar*V
@@ -178,6 +179,8 @@ class _Pattern:
         self.ypos_qp = south_pos[p[has_n] + nx].reshape(ny - 1, nx)
 
         self.shape = (ny, nx)
+        self.exposed_edge = grid.exposed_edge()
+        self.trace = grid.exposed_trace()
         # 32-bit CSR indices: scipy keeps them as given instead of copying
         # them down on every csr_matrix construction.  The data positions
         # above stay native-width for cheap fancy indexing.
@@ -213,7 +216,8 @@ def _add_face_couplings(diag2: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> No
 
 def _pattern(grid: Grid2D) -> _Pattern:
     pat = getattr(grid, "_stencil_pattern", None)
-    if pat is None:
+    # Grid2D.tags is a mutable dict: rebuild when the exposed edge moved.
+    if pat is None or pat.exposed_edge is not grid.exposed_edge():
         pat = _Pattern(grid)
         grid._stencil_pattern = pat
     return pat
@@ -276,7 +280,7 @@ def assemble_s_system(
     if source is not None:
         rhs = rhs + pat.volumes * np.asarray(source)
 
-    trace = grid.exposed_trace()
+    trace = pat.trace
     if trace is not None:
         if robin_data is None:
             nu = np.asarray(permeability(r_new, p), dtype=float)
@@ -476,8 +480,8 @@ def step(
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
-    trace = grid.exposed_trace()
     pat = _pattern(grid)
+    trace = pat.trace
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -208,18 +208,37 @@ class ManufacturedFields:
     """
 
     p: PhysParams
+    # (x1, x2, cos(pi x1), cos(pi x2), sin^2(pi x1)) for one set of nodes,
+    # set by at_nodes().
+    nodes: tuple | None = field(default=None, compare=False, repr=False)
+
+    def at_nodes(self, x1: np.ndarray, x2: np.ndarray) -> "ManufacturedFields":
+        """A copy that evaluates the spatial factors at (x1, x2) once, here.
+
+        Its c_field and source reuse them whenever they are called with
+        these very arrays, which must not change afterwards.  A subclass
+        that overrides c_field or source keeps its own definition.
+        """
+        return replace(self, nodes=(x1, x2) + self._factors(x1, x2))
+
+    def _factors(self, x1, x2):
+        """cos(pi x1), cos(pi x2) and sin^2(pi x1)."""
+        nodes = self.nodes
+        if nodes is not None and x1 is nodes[0] and x2 is nodes[1]:
+            return nodes[2:]
+        return np.cos(np.pi * x1), np.cos(np.pi * x2), np.sin(np.pi * x1) ** 2
 
     def s_exact(self, x1, x2, t):
         return self._s(np.cos(np.pi * x1), np.cos(np.pi * x2), t)
 
     def c_field(self, x1, x2, t):
-        return self._c(np.cos(np.pi * x1), t)
+        return self._c(self._factors(x1, x2)[0], t)
 
     def r_field(self, x2, t):
         return self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2)) * (1.0 - math.exp(-t))
 
-    # s and c in terms of the spatial factors cos(pi x1) and cos(pi x2), so
-    # source() evaluates each factor once.
+    # s and c in terms of the spatial factors, so that each is evaluated
+    # once per call, or once per set of nodes (see at_nodes()).
 
     def _s(self, cos1, cos2, t):
         return math.exp(-t) * cos1 * cos2
@@ -230,15 +249,14 @@ class ManufacturedFields:
     def source(self, x1, x2, t):
         """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
         p = self.p
-        cos1 = np.cos(np.pi * x1)
-        cos2 = np.cos(np.pi * x2)
+        cos1, cos2, sin1_sq = self._factors(x1, x2)
         s = self._s(cos1, cos2, t)
         c = self._c(cos1, t)
         phi = p.A + p.B * c
         c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * np.sin(np.pi * x1) ** 2 * cos2
+        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
         return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
     def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
@@ -316,6 +334,7 @@ def run_mms_level(
     if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, t_end):
         raise ValueError(f"dt={dt} does not divide t_end={t_end}")
 
+    mf = mf.at_nodes(x1, x2)
     s = mf.s_exact(x1, x2, 0.0)
     c_old = mf.c_field(x1, x2, 0.0)
     for k in range(1, n_steps + 1):

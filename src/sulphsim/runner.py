@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,37 +171,64 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     return RunResult(status, cfg, report, metrics, state, history, error)
 
 
-def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[RunResult]:
-    """Run several configurations, at most SULPHSIM_THREADS at a time.
+def _sweep_job(cfg: RunConfig) -> RunResult:
+    """Run one sweep configuration; an exception becomes a status-1 result.
 
-    One run's failure does not abort the others.  The combined CSV reports
-    the time-to-threshold metric (first step at which the minimum of c on
-    the exposed edge drops below 0.5*C0).
+    The result is slim and picklable, so a worker process can send it back
+    cheaply: it carries no final_state, and run() records no trace_history
+    unless asked to.
+    """
+    try:
+        return replace(run(cfg), final_state=None)
+    except Exception as exc:
+        return RunResult(1, cfg, InvariantReport(), RunMetrics(), error=str(exc))
+
+
+def _sweep_workers() -> int:
+    """Worker processes for sweep(): the SULPHSIM_THREADS integer, default 1."""
+    value = os.environ.get("SULPHSIM_THREADS", "1")
+    problem = ConfigError(f"SULPHSIM_THREADS must be an integer >= 1 (got {value!r})")
+    try:
+        workers = int(value)
+    except ValueError:
+        raise problem from None
+    if workers < 1:
+        raise problem
+    return workers
+
+
+def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[RunResult]:
+    """Run several configurations in up to SULPHSIM_THREADS worker processes.
+
+    Results come back in configuration order and carry no final_state.  One
+    run's failure does not abort the others.  The combined CSV reports the
+    time-to-threshold metric (first step at which the minimum of c on the
+    exposed edge drops below 0.5*C0).
     """
     out_dirs = [c.out_dir for c in configs]
     if len(set(out_dirs)) != len(out_dirs):
         raise ConfigError("sweep configurations must use distinct out_dirs")
-    workers = max(1, int(os.environ.get("SULPHSIM_THREADS", "1")))
+    workers = min(_sweep_workers(), len(configs))
 
-    results: list[RunResult | None] = [None] * len(configs)
+    if workers > 1:
+        # Processes, not threads: a run's many small numpy calls hold the
+        # GIL, so threads cannot overlap them.  fork whatever the platform's
+        # default, so workers start from the parent's module state instead
+        # of a fresh import.  Imported here, so that importing sulphsim does
+        # not pay for multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def job(idx: int) -> None:
-        try:
-            results[idx] = run(configs[idx])
-        except Exception as exc:
-            results[idx] = RunResult(
-                1, configs[idx], InvariantReport(), RunMetrics(), error=str(exc)
-            )
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            results = list(pool.map(_sweep_job, configs))
+    else:
+        results = [_sweep_job(cfg) for cfg in configs]
 
-    if configs:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(len(configs))))
-
-    final = [r for r in results if r is not None]
     if summary_path is not None:
         with open(summary_path, "w", newline="\n") as fh:
             fh.write("out_dir,status,first_step_half_c0,n_steps,seed\n")
-            for r in final:
+            for r in results:
                 thr = "" if r.metrics.first_step_half_c0 is None else str(r.metrics.first_step_half_c0)
                 fh.write(f"{r.config.out_dir},{r.status},{thr},{r.config.n_steps},{r.config.seed}\n")
-    return final
+    return results

@@ -143,6 +143,31 @@ class TestAgainstDenseOracle:
         assert np.allclose(sys.rhs, b, atol=1e-12)
 
 
+    def test_exposed_edge_follows_retagging(self):
+        # the exposed trace is cached with the grid's stencil pattern; each
+        # assembly must still use the edge the grid is tagged with now
+        grid = build_grid(5, 4)
+        p = PhysParams()
+        rng = np.random.default_rng(30)
+        for edge in (Edge.LEFT, Edge.LEFT, Edge.TOP, Edge.RIGHT, Edge.BOTTOM):
+            grid.tags.update({e: EdgeTag.EXPOSED if e is edge else EdgeTag.ISOLATED for e in Edge})
+            trace = grid.exposed_trace()
+            c = rng.uniform(0.2, 0.8, grid.n_nodes)
+            s_old = rng.uniform(0, 1, grid.n_nodes)
+            robin = RobinData(
+                nu=rng.uniform(0, 2, len(trace)),
+                sbar=rng.uniform(0, 1, len(trace)),
+                flux=rng.standard_normal(len(trace)),
+            )
+            sys = assemble_s_system(
+                grid, make_state(grid, c, s_old), c, np.zeros(len(trace)), 0.01, p,
+                robin_data=robin,
+            )
+            amat, b = dense_oracle(grid, c, c, s_old, 0.01, p, robin=robin)
+            assert np.allclose(sys.dense(), amat, atol=1e-12)
+            assert np.allclose(sys.rhs, b, atol=1e-12)
+
+
 class TestStructure:
     def test_laplacian_annihilates_constants(self):
         # phi==1, lam=0, all-Neumann: A @ const = const/dt * volumes

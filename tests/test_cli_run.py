@@ -1,6 +1,8 @@
 """End-to-end checks of run(), sweep(), and the CLI surface."""
 
 import os
+import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -167,6 +169,61 @@ class TestSweep:
         assert [r.status for r in results] == [1, 0]
         assert "boom" in results[0].error
 
+    def test_one_failure_does_not_abort_others_in_worker_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SULPHSIM_THREADS", "2")
+        self.test_one_failure_does_not_abort_others(tmp_path, monkeypatch)
+
+    def test_worker_processes_match_serial_byte_for_byte(self, tmp_path, monkeypatch):
+        cfgs = [small_config(tmp_path / f"p{i}", seed=i, n_steps=8, snapshot_steps="4,8") for i in range(3)]
+        summary = tmp_path / "summary.csv"
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SULPHSIM_THREADS", workers)
+            for cfg in cfgs:
+                shutil.rmtree(cfg.out_dir, ignore_errors=True)
+            results = sweep(cfgs, str(summary))
+            assert [r.config for r in results] == cfgs
+            outputs[workers] = (
+                summary.read_bytes(),
+                [read_artifacts(cfg.out_dir) for cfg in cfgs],
+            )
+        assert outputs["2"] == outputs["1"]
+
+    def test_configs_run_in_worker_processes(self, tmp_path, monkeypatch):
+        import sulphsim.runner as runner_mod
+
+        def report_pid(cfg, record_traces=False):
+            raise RuntimeError(f"pid {os.getpid()}")
+
+        monkeypatch.setattr(runner_mod, "run", report_pid)
+        monkeypatch.setenv("SULPHSIM_THREADS", "2")
+        cfgs = [small_config(tmp_path / f"q{i}") for i in range(4)]
+        results = runner_mod.sweep(cfgs)
+        pids = {int(r.error.split()[-1]) for r in results}
+        assert [r.status for r in results] == [1] * 4
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_results_are_slim_and_pickle(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("SULPHSIM_THREADS", workers)
+        cfgs = [small_config(tmp_path / f"k{i}", n_steps=3, snapshot_steps="") for i in range(2)]
+        results = sweep(cfgs)
+        assert all(r.status == 0 and r.final_state is None for r in results)
+        assert all(r.trace_history == [] for r in results)
+        back = pickle.loads(pickle.dumps(results))
+        assert [r.report.entries for r in back] == [r.report.entries for r in results]
+        assert [r.config for r in back] == cfgs
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
+    def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, value):
+        from sulphsim.config import ConfigError
+
+        monkeypatch.setenv("SULPHSIM_THREADS", value)
+        with pytest.raises(ConfigError, match=f"SULPHSIM_THREADS.*{value!r}"):
+            sweep([small_config(tmp_path / "never")])
+        assert not (tmp_path / "never").exists()
+
     def test_threshold_metric_in_summary(self, tmp_path):
         cfg = small_config(tmp_path / "thr", n_steps=400, dt=0.01, snapshot_steps="")
         sweep([cfg], str(tmp_path / "summary.csv"))
@@ -215,6 +272,20 @@ class TestCli:
         assert code == 0
         summary = (tmp_path / "sweep_summary.csv").read_text()
         assert len(summary.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_sweep_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"nx = 17\nny = 17\nn_steps = 5\nout_dir = {tmp_path / 'o'}\n")
+        manifest = tmp_path / "runs.txt"
+        manifest.write_text("c.ini\n")
+        monkeypatch.setenv("SULPHSIM_THREADS", value)
+        assert main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SULPHSIM_THREADS")
+        assert repr(value) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_worker_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SULPHSIM_THREADS", "2")

@@ -200,6 +200,20 @@ class TestManufacturedSource:
             expected = ddt - div + reaction
             assert mf.source(x1, x2, t) == pytest.approx(expected, abs=2e-5)
 
+    def test_fields_at_nodes_bit_identical(self):
+        mf = ManufacturedFields(PhysParams())
+        grid = build_grid(9, 5)
+        x1, x2 = grid.x1(), grid.x2()
+        bound = mf.at_nodes(x1, x2)
+        assert bound == mf
+        for t in (0.0, 0.03, 0.1):
+            assert np.array_equal(bound.source(x1, x2, t), mf.source(x1, x2, t))
+            assert np.array_equal(bound.c_field(x1, x2, t), mf.c_field(x1, x2, t))
+        # other points are evaluated afresh
+        y1 = x1 + 0.01
+        assert np.array_equal(bound.source(y1, x2, 0.05), mf.source(y1, x2, 0.05))
+        assert not np.array_equal(bound.source(y1, x2, 0.05), mf.source(x1, x2, 0.05))
+
     def test_manufactured_solution_satisfies_robin_override(self):
         mf = ManufacturedFields(PhysParams())
         x2 = np.linspace(0, 1, 33)
