@@ -1,18 +1,20 @@
 """Run configuration: defaults, key=value parsing, validation, manifest text.
 
 The config dialect is flat ``key = value`` lines with ``#`` comments; keys
-are exactly the RunConfig field names.  Defaults are overlaid by the file,
-then by CLI overrides.  Validation collects every violated assumption and
-names it by its label, e.g. "(A1): requires A > 0 and A + B*C0 > 0".
+are exactly the RunConfig field names, whose physical ones RunConfig
+inherits from PhysParams.  Defaults are overlaid by the file, then by CLI
+overrides.  Validation collects every violated assumption and names it by
+its label, e.g. "(A1): requires A > 0 and A + B*C0 > 0".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from enum import Enum
 
-from .grid import Edge, EdgeTag, ProfileLine, build_grid
-from .model import ConstraintMode, NuLaw, PhysParams
+from .grid import Edge, EdgeTag, ProfileLine, build_grid, grid_line_index
+from .model import PhysParams, enum_fields
 from .surface import RugosityInit, RugosityInitMode
 
 
@@ -21,27 +23,17 @@ class ConfigError(ValueError):
 
 
 RUN_MODES = ("simulate", "audit_only", "mms_spatial", "mms_temporal")
-EDGE_CHOICES = ("left", "right", "bottom", "top", "none")
+EDGE_CHOICES = tuple(e.value for e in Edge) + ("none",)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # physical / constitutive
-    A: float = 0.1
-    B: float = -0.05
-    lam: float = 100.0
-    C0: float = 1.0
-    S0: float = 1.0
-    sbar: float = 1.0
-    g: float = 30.0
-    R0: float = 4.0
-    nu_law: str = "linear"
-    nu0: float = 0.1
-    nul: float = 1.0
-    rl: float = 1.0
-    weibull_m: float = 10.0
-    weibull_r0: float = 0.2
-    constraint_mode: str = "free"
+class RunConfig(PhysParams):
+    """PhysParams' physical and constitutive fields first, then the run's own.
+
+    The r_init_* fields are the RugosityInit recipe, field for field, with
+    its defaults.
+    """
+
     # grid
     nx: int = 65
     ny: int = 65
@@ -52,12 +44,12 @@ class RunConfig:
     picard_iters: int = 2
     # deterministic RNG / initial rugosity
     seed: int = 1
-    r_init_mode: str = "piecewise"
-    r_init_r0: float = 0.2
-    r_init_value: float = 0.2
-    r_init_lo_factor: float = 0.5
-    r_init_hi_factor: float = 2.0
-    r_init_split_x2: float = 0.5
+    r_init_mode: RugosityInitMode = RugosityInit.mode
+    r_init_r0: float = RugosityInit.r0
+    r_init_value: float = RugosityInit.value
+    r_init_lo_factor: float = RugosityInit.lo_factor
+    r_init_hi_factor: float = RugosityInit.hi_factor
+    r_init_split_x2: float = RugosityInit.split_x2
     # output
     out_dir: str = "out"
     profiles: tuple[ProfileLine, ...] = (
@@ -77,23 +69,7 @@ class RunConfig:
     # -- derived objects ---------------------------------------------------
 
     def phys(self) -> PhysParams:
-        return PhysParams(
-            A=self.A,
-            B=self.B,
-            lam=self.lam,
-            C0=self.C0,
-            S0=self.S0,
-            sbar=self.sbar,
-            g=self.g,
-            R0=self.R0,
-            nu_law=NuLaw(self.nu_law),
-            nu0=self.nu0,
-            nul=self.nul,
-            rl=self.rl,
-            weibull_m=self.weibull_m,
-            weibull_r0=self.weibull_r0,
-            constraint_mode=ConstraintMode(self.constraint_mode),
-        )
+        return PhysParams(**{f.name: getattr(self, f.name) for f in fields(PhysParams)})
 
     def edge_tags(self) -> dict[Edge, EdgeTag]:
         tags = {e: EdgeTag.ISOLATED for e in Edge}
@@ -106,25 +82,20 @@ class RunConfig:
 
     def rugosity_init(self) -> RugosityInit:
         return RugosityInit(
-            mode=RugosityInitMode(self.r_init_mode),
-            r0=self.r_init_r0,
-            value=self.r_init_value,
-            lo_factor=self.r_init_lo_factor,
-            hi_factor=self.r_init_hi_factor,
-            split_x2=self.r_init_split_x2,
+            **{f.name: getattr(self, f"r_init_{f.name}") for f in fields(RugosityInit)}
         )
 
 
 # -- parsing ----------------------------------------------------------------
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
+def _bool(s: str) -> bool:
+    v = s.lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError(s)
 
 
 def _parse_profiles(s: str) -> tuple[ProfileLine, ...]:
@@ -161,55 +132,56 @@ def _parse_steps(s: str) -> tuple[int, ...]:
 
 
 def format_profiles(profiles: tuple[ProfileLine, ...]) -> str:
-    parts = []
-    for line in profiles:
-        axis = "x1" if line.orientation == "vertical" else "x2"
-        parts.append(f"{axis}={line.coord:.17g}")
-    return ";".join(parts)
+    return ";".join(f"{line.axis}={line.coord:.17g}" for line in profiles)
 
 
 def format_steps(steps: tuple[int, ...]) -> str:
     return ",".join(str(k) for k in steps)
 
 
-_CONVERTERS = {
-    "profiles": _parse_profiles,
-    "snapshot_steps": _parse_steps,
-}
+def _scalar(name: str, kind, expected: str):
+    def parse(raw: str):
+        raw = raw.strip()
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {name!r}: expected {expected}, got {raw!r}") from exc
+
+    return parse
 
 
-def _convert(name: str, ftype: str, raw: str):
-    if name in _CONVERTERS:
-        return _CONVERTERS[name](raw)
-    raw = raw.strip()
-    if ftype == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {name!r}: expected a number, got {raw!r}") from exc
-    if ftype == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {name!r}: expected an integer, got {raw!r}") from exc
-    if ftype == "bool":
-        return _parse_bool(raw)
-    return raw
+def _field_parser(f):
+    if f.name == "profiles":
+        return _parse_profiles
+    if f.name == "snapshot_steps":
+        return _parse_steps
+    if f.type == "float":
+        return _scalar(f.name, float, "a number")
+    if f.type == "int":
+        return _scalar(f.name, int, "an integer")
+    if f.type == "bool":
+        return _scalar(f.name, _bool, "a boolean")
+    # plain strings, and enum values, which RunConfig turns into members
+    return str.strip
+
+
+# key -> parser of its raw text, built once
+_PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
+
+# keys that take one of a fixed set of words
+_CHOICES = {name: tuple(m.value for m in enum) for name, enum in enum_fields(RunConfig)}
+_CHOICES.update(exposed_edge=EDGE_CHOICES, mode=RUN_MODES)
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Defaults overlaid by the document, overlaid by CLI overrides, validated."""
-    field_types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
 
     def apply(key: str, raw: str, where: str):
         key = key.strip()
-        if key not in field_types:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown key {key!r} ({where})")
-        base = str(field_types[key]).split("[")[0]
-        if base not in ("float", "int", "bool"):
-            base = "str"
-        values[key] = _convert(key, base, raw)
+        values[key] = _PARSERS[key](raw)
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -246,20 +218,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
         for key, v in values.items()
         if isinstance(v, float) and not math.isfinite(v)
     ]
-    try:
-        p = cfg.phys()
-        problems.extend(p.validate(enforce_global_bound=cfg.enforce_global_bound))
-    except ValueError as exc:
-        problems.append(str(exc))
-        p = None
-    if cfg.nu_law not in ("linear", "parabolic"):
-        problems.append(f"nu_law must be linear or parabolic (got {cfg.nu_law!r})")
-    if cfg.constraint_mode not in ("free", "box"):
-        problems.append(f"constraint_mode must be free or box (got {cfg.constraint_mode!r})")
-    if cfg.exposed_edge not in EDGE_CHOICES:
-        problems.append(f"exposed_edge must be one of {EDGE_CHOICES} (got {cfg.exposed_edge!r})")
-    if cfg.mode not in RUN_MODES:
-        problems.append(f"mode must be one of {RUN_MODES} (got {cfg.mode!r})")
+    problems.extend(
+        f"key {key!r}: expected one of {', '.join(choices)}, got {values[key]!r}"
+        for key, choices in _CHOICES.items()
+        if values[key] not in choices
+    )
+    problems.extend(PhysParams.validate(cfg, enforce_global_bound=cfg.enforce_global_bound))
     if cfg.nx < 3 or cfg.ny < 3:
         problems.append(f"grid needs nx, ny >= 3 (got {cfg.nx}x{cfg.ny})")
     if cfg.dt <= 0:
@@ -270,10 +234,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"picard_iters must be >= 1 (got {cfg.picard_iters})")
     if cfg.mms_levels < 3:
         problems.append(f"mms_levels must be >= 3 (got {cfg.mms_levels})")
-    if cfg.r_init_mode not in tuple(m.value for m in RugosityInitMode):
-        problems.append(f"r_init_mode must be constant, piecewise or weibull (got {cfg.r_init_mode!r})")
-    else:
-        problems.extend(cfg.rugosity_init().validate())
+    problems.extend(cfg.rugosity_init().validate())
     for k in cfg.snapshot_steps:
         if k < 0 or k > cfg.n_steps:
             problems.append(f"snapshot step {k} outside [0, n_steps={cfg.n_steps}]")
@@ -281,12 +242,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if cfg.nx >= 3 and cfg.ny >= 3:
         for line in cfg.profiles:
             n = cfg.nx if line.orientation == "vertical" else cfg.ny
-            h = 1.0 / (n - 1)
-            k = round(line.coord / h)
-            if k < 0 or k >= n or abs(line.coord - k * h) > 1e-12:
-                axis = "x1" if line.orientation == "vertical" else "x2"
+            if grid_line_index(line.coord, n) is None:
                 problems.append(
-                    f"profile line {axis}={line.coord} is not grid-aligned for n={n}"
+                    f"profile line {line.axis}={line.coord} is not grid-aligned for n={n}"
                 )
     return problems
 
@@ -303,6 +261,8 @@ def _format_value(name: str, value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 

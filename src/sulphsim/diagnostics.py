@@ -361,7 +361,6 @@ def run_mms_level(
     return err_l2, err_max
 
 
-SPATIAL_GRIDS = (17, 33, 65, 129, 257)
 SPATIAL_DT = 1e-5
 TEMPORAL_GRID = 129
 TEMPORAL_DT0 = 0.05
@@ -382,50 +381,23 @@ def mms_convergence(
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 levels")
-    if study not in ("spatial", "temporal"):
+    if study == "spatial":
+        plan = [(16 * 2**k + 1, SPATIAL_DT) for k in range(levels)]  # 17, 33, 65, ...
+    elif study == "temporal":
+        plan = [(TEMPORAL_GRID, TEMPORAL_DT0 / 2**k) for k in range(levels)]
+    else:
         raise ValueError(f"unknown study {study!r}")
     mf = ManufacturedFields(p if p is not None else PhysParams())
 
     rows: list[ConvergenceRow] = []
-    if study == "spatial":
-        grids = [16 * 2**k + 1 for k in range(levels)]  # 17, 33, 65, ...
-        prev = None
-        for lvl, n in enumerate(grids):
-            e2, em = run_mms_level(mf, n, SPATIAL_DT, MMS_T_END)
-            h = 1.0 / (n - 1)
-            if prev is None:
-                rows.append(ConvergenceRow(lvl, h, e2, em, None, None))
-            else:
-                ratio = prev[0] / h
-                rows.append(
-                    ConvergenceRow(
-                        lvl,
-                        h,
-                        e2,
-                        em,
-                        math.log(prev[1] / e2) / math.log(ratio),
-                        math.log(prev[2] / em) / math.log(ratio),
-                    )
-                )
-            prev = (h, e2, em)
-    else:
-        prev = None
-        for lvl in range(levels):
-            dt = TEMPORAL_DT0 / 2**lvl
-            e2, em = run_mms_level(mf, TEMPORAL_GRID, dt, MMS_T_END)
-            if prev is None:
-                rows.append(ConvergenceRow(lvl, dt, e2, em, None, None))
-            else:
-                ratio = prev[0] / dt
-                rows.append(
-                    ConvergenceRow(
-                        lvl,
-                        dt,
-                        e2,
-                        em,
-                        math.log(prev[1] / e2) / math.log(ratio),
-                        math.log(prev[2] / em) / math.log(ratio),
-                    )
-                )
-            prev = (dt, e2, em)
+    for lvl, (n, dt) in enumerate(plan):
+        e2, em = run_mms_level(mf, n, dt, MMS_T_END)
+        h_or_dt = 1.0 / (n - 1) if study == "spatial" else dt
+        order_l2 = order_max = None
+        if rows:
+            prev = rows[-1]
+            log_ratio = math.log(prev.h_or_dt / h_or_dt)
+            order_l2 = math.log(prev.err_l2 / e2) / log_ratio
+            order_max = math.log(prev.err_max / em) / log_ratio
+        rows.append(ConvergenceRow(lvl, h_or_dt, e2, em, order_l2, order_max))
     return ConvergenceTable(study=study, rows=rows)

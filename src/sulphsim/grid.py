@@ -8,6 +8,7 @@ exposed, and in the reference configuration it is the left one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -151,16 +152,26 @@ class ProfileLine:
         if self.orientation not in ("vertical", "horizontal"):
             raise ValueError(f"unknown profile orientation {self.orientation!r}")
 
+    @property
+    def axis(self) -> str:
+        """Name of the fixed coordinate: x1 for a vertical line, x2 for a horizontal one."""
+        return "x1" if self.orientation == "vertical" else "x2"
 
-def _aligned_index(coord: float, n: int, h: float, what: str) -> int:
-    k = coord / h
-    kr = int(round(k))
-    if kr < 0 or kr >= n or abs(coord - kr * h) > LINE_ALIGN_TOL:
-        raise ValueError(
-            f"{what}={coord} is not a grid line (spacing {h}); "
-            "profile lines must be node-aligned, no interpolation is done"
-        )
-    return kr
+
+def grid_line_index(coord: float, n: int) -> int | None:
+    """Index of the grid line at coord on an n-node unit axis.
+
+    None when coord is not within LINE_ALIGN_TOL of a node coordinate
+    (non-finite coords included): profile lines are node-aligned, no
+    interpolation is done.
+    """
+    if not math.isfinite(coord):
+        return None
+    h = 1.0 / (n - 1)
+    k = round(coord / h)
+    if 0 <= k < n and abs(coord - k * h) <= LINE_ALIGN_TOL:
+        return k
+    return None
 
 
 def extract_profile(field: np.ndarray, grid: Grid2D, line: ProfileLine):
@@ -172,9 +183,15 @@ def extract_profile(field: np.ndarray, grid: Grid2D, line: ProfileLine):
     field = np.asarray(field)
     if field.shape != (grid.n_nodes,):
         raise ValueError(f"field has shape {field.shape}, expected ({grid.n_nodes},)")
+    vertical = line.orientation == "vertical"
+    n = grid.nx if vertical else grid.ny
+    k = grid_line_index(line.coord, n)
+    if k is None:
+        raise ValueError(
+            f"{line.axis}={line.coord} is not a grid line (spacing "
+            f"{1.0 / (n - 1)}); profile lines must be node-aligned, no interpolation is done"
+        )
     f2 = field.reshape(grid.ny, grid.nx)
-    if line.orientation == "vertical":
-        i = _aligned_index(line.coord, grid.nx, grid.hx, "x1")
-        return np.arange(grid.ny) * grid.hy, f2[:, i].copy()
-    j = _aligned_index(line.coord, grid.ny, grid.hy, "x2")
-    return np.arange(grid.nx) * grid.hx, f2[j, :].copy()
+    if vertical:
+        return np.arange(grid.ny) * grid.hy, f2[:, k].copy()
+    return np.arange(grid.nx) * grid.hx, f2[k, :].copy()

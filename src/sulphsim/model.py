@@ -8,22 +8,48 @@ projection that realizes the constraint r in [0, R0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 C_RANGE_TOL = 1e-12
 
 
-class NuLaw(Enum):
+class NuLaw(str, Enum):
     LINEAR = "linear"
     PARABOLIC = "parabolic"
 
 
-class ConstraintMode(Enum):
+class ConstraintMode(str, Enum):
     FREE = "free"
     BOX = "box"
+
+
+@cache
+def enum_fields(cls) -> tuple[tuple[str, type[Enum]], ...]:
+    """(name, enum class) of every dataclass field whose default is an enum member."""
+    return tuple(
+        (f.name, type(f.default)) for f in fields(cls) if isinstance(f.default, Enum)
+    )
+
+
+def coerce_enums(obj) -> None:
+    """Turn enum fields given by their string value into members, in place.
+
+    This is the one place enum values are parsed, so a config built in
+    Python with nu_law="parabolic" runs the parabolic law just as a parsed
+    one does.  A string that names no member is kept as given, for
+    validation to report with its key.
+    """
+    for name, enum in enum_fields(type(obj)):
+        value = getattr(obj, name)
+        if not isinstance(value, enum):
+            try:
+                object.__setattr__(obj, name, enum(value))
+            except ValueError:
+                pass
 
 
 @dataclass(frozen=True)
@@ -54,6 +80,8 @@ class PhysParams:
     weibull_m: float = 10.0
     weibull_r0: float = 0.2
     constraint_mode: ConstraintMode = ConstraintMode.FREE
+
+    __post_init__ = coerce_enums
 
     def validate(self, enforce_global_bound: bool = True) -> list[str]:
         """Return a list of violated assumptions (empty when valid)."""

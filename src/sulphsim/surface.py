@@ -20,13 +20,14 @@ from .model import (
     PhysParams,
     PSI_ZERO,
     PsiPolynomial,
+    coerce_enums,
     project_box,
     rugosity_reaction,
 )
 from .rng import Xoshiro256pp
 
 
-class RugosityInitMode(Enum):
+class RugosityInitMode(str, Enum):
     CONSTANT = "constant"
     PIECEWISE = "piecewise"
     WEIBULL = "weibull"
@@ -49,6 +50,8 @@ class RugosityInit:
     lo_factor: float = 0.5
     hi_factor: float = 2.0
     split_x2: float = 0.5
+
+    __post_init__ = coerce_enums
 
     def validate(self) -> list[str]:
         v = []

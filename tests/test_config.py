@@ -1,5 +1,7 @@
 import dataclasses
+import os
 
+import numpy as np
 import pytest
 
 from sulphsim.config import (
@@ -9,7 +11,20 @@ from sulphsim.config import (
     parse_config,
     validate_config,
 )
-from sulphsim.grid import ProfileLine
+from sulphsim.grid import ProfileLine, build_grid, extract_profile
+from sulphsim.model import permeability
+from sulphsim.runner import run
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+ENUM_VARIANT = (
+    "nu_law = parabolic\nconstraint_mode = box\nr_init_mode = weibull\n"
+    "exposed_edge = top\nR0 = 0.25\nseed = 42\n"
+)
+
+
+def read_data(name):
+    with open(os.path.join(DATA, name), newline="") as fh:
+        return fh.read()
 
 
 class TestDefaults:
@@ -45,6 +60,10 @@ class TestParsing:
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError, match="expected a number"):
             parse_config("A = fast\n")
+
+    def test_bad_boolean_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="key 'strict': expected a boolean, got 'maybe'"):
+            parse_config("strict = maybe\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -134,3 +153,91 @@ class TestManifestRoundTrip:
             if line and not line.startswith("#")
         }
         assert keys == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+class TestChoices:
+    @pytest.mark.parametrize(
+        "key, value, accepted",
+        [
+            ("nu_law", "foo", "linear, parabolic"),
+            ("constraint_mode", "x", "free, box"),
+            ("r_init_mode", "bad", "constant, piecewise, weibull"),
+        ],
+    )
+    def test_bad_choice_named_once(self, key, value, accepted):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = {value}\n")
+        text = str(info.value)
+        assert text.count(key) == 1
+        assert f"key {key!r}: expected one of {accepted}, got {value!r}" in text
+
+    def test_bad_choice_does_not_hide_other_violations(self):
+        with pytest.raises(ConfigError, match=r"\(A1\)") as info:
+            parse_config("nu_law = foo\nA = -1\n")
+        assert str(info.value).count("nu_law") == 1
+
+    @pytest.mark.parametrize("law", ["linear", "parabolic"])
+    def test_python_built_law_matches_parsed(self, law):
+        built = dataclasses.replace(RunConfig(), nu_law=law)
+        parsed = parse_config(f"nu_law = {law}\n")
+        assert built == parsed
+        r = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_array_equal(
+            permeability(r, built.phys()), permeability(r, parsed.phys())
+        )
+
+    def test_unknown_law_rejected_by_validate_and_run(self, tmp_path):
+        cfg = dataclasses.replace(RunConfig(), nu_law="foo", out_dir=str(tmp_path / "run"))
+        assert validate_config(cfg) == [
+            "key 'nu_law': expected one of linear, parabolic, got 'foo'"
+        ]
+        with pytest.raises(ConfigError, match="nu_law"):
+            run(cfg)
+        assert not (tmp_path / "run").exists()
+
+
+class TestGridLineRule:
+    NX, NY = 9, 17
+
+    @pytest.mark.parametrize("axis, orientation, n", [("x1", "vertical", NX), ("x2", "horizontal", NY)])
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    @pytest.mark.parametrize("offset", [-2e-12, -0.5e-12, 0.5e-12, 2e-12])
+    def test_parse_accepts_what_extract_profile_accepts(self, axis, orientation, n, k, offset):
+        coord = (k % n) / (n - 1) + offset
+        grid = build_grid(self.NX, self.NY)
+        try:
+            extract_profile(np.zeros(grid.n_nodes), grid, ProfileLine(orientation, coord))
+            extracted = True
+        except ValueError:
+            extracted = False
+        try:
+            parse_config(f"nx = {self.NX}\nny = {self.NY}\nprofiles = {axis}={coord!r}\n")
+            parsed = True
+        except ConfigError:
+            parsed = False
+        assert parsed == extracted == (abs(offset) < 1e-12)
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_coordinate_rejected(self, coord):
+        with pytest.raises(ConfigError, match="not grid-aligned"):
+            parse_config(f"profiles = x1={coord}\n")
+
+
+class TestManifestBytes:
+    def test_default_text_pinned(self):
+        assert config_to_text(RunConfig()) == read_data("manifest_default.ini")
+
+    def test_enum_variant_text_pinned(self):
+        expected = read_data("manifest_variant.ini")
+        parsed = parse_config(ENUM_VARIANT)
+        built = dataclasses.replace(
+            RunConfig(),
+            nu_law="parabolic",
+            constraint_mode="box",
+            r_init_mode="weibull",
+            exposed_edge="top",
+            R0=0.25,
+            seed=42,
+        )
+        assert config_to_text(parsed) == config_to_text(built) == expected
+        assert parse_config(expected) == parsed

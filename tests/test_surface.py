@@ -96,6 +96,16 @@ class TestInitRugosity:
         assert np.all((r >= 0.0) & (r <= p.R0))
         assert np.any(r == p.R0)  # the clamp actually engaged
 
+    def test_modes_given_by_name_act_like_members(self):
+        # "constant" must not fall through to the Weibull branch, nor "box" to free mode
+        g = self.grid()
+        r = init_rugosity(
+            g.exposed_trace(), g,
+            RugosityInit(mode="constant", value=0.3),
+            Xoshiro256pp(1), PhysParams(constraint_mode="box", R0=0.25),
+        )
+        assert np.all(r == 0.25)
+
     def test_validates_factors(self):
         g = self.grid()
         with pytest.raises(ValueError):
