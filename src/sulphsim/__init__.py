@@ -6,17 +6,14 @@ from .bulk import FieldState, LinearSystem, assemble_s_system, c_update_exact, c
 from .config import ConfigError, RunConfig, parse_config
 from .grid import BoundaryTrace, Edge, EdgeTag, Grid2D, ProfileLine, build_grid, extract_profile
 from .model import (
-    ConstitutiveReport,
     ConstraintMode,
     NuLaw,
     PhysParams,
     PsiPolynomial,
-    constitutive_report,
     permeability,
     porosity,
     project_box,
     rugosity_reaction,
-    rugosity_reaction_potential,
 )
 from .runner import RunResult, run, sweep
 from .surface import RugosityInit, RugosityInitMode, init_rugosity, step_r, weibull_sample
@@ -25,7 +22,6 @@ __all__ = [
     "__version__",
     "BoundaryTrace",
     "ConfigError",
-    "ConstitutiveReport",
     "ConstraintMode",
     "Edge",
     "EdgeTag",
@@ -44,7 +40,6 @@ __all__ = [
     "build_grid",
     "c_update_exact",
     "cg_solve",
-    "constitutive_report",
     "extract_profile",
     "init_rugosity",
     "parse_config",
@@ -52,7 +47,6 @@ __all__ = [
     "porosity",
     "project_box",
     "rugosity_reaction",
-    "rugosity_reaction_potential",
     "run",
     "step",
     "step_r",

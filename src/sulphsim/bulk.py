@@ -31,13 +31,14 @@ under refinement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid2D
+from .grid import GRID_CACHE_SIZE, Grid2D
 from .model import PhysParams, PSI_ZERO, PsiPolynomial, porosity, permeability
 from .surface import step_r
 
@@ -125,11 +126,10 @@ def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 class _Pattern:
     """Fixed CSR structure of the 5-point stencil for one grid.
 
-    Precomputes, once per grid, where each diagonal and face contribution
-    lands in the CSR data array, so per-step assembly is pure vectorized
-    fills, and the exposed-edge trace (None without an exposed edge).
-    Face arrays are 2D: x-faces (ny, nx-1) join node (j, i) to (j, i+1),
-    y-faces (ny-1, nx) join (j, i) to (j+1, i).
+    Precomputes, once per grid (see _pattern), where each diagonal and face
+    contribution lands in the CSR data array, so per-step assembly is pure
+    vectorized fills.  Face arrays are 2D: x-faces (ny, nx-1) join node
+    (j, i) to (j, i+1), y-faces (ny-1, nx) join (j, i) to (j+1, i).
 
     Also holds the constant-coefficient model solve: with Q = Qy (x) Qx and
     eig = lam_y (+) lam_x (shape (ny, nx)), M = phi_bar*K + m_bar*V
@@ -179,8 +179,6 @@ class _Pattern:
         self.ypos_qp = south_pos[p[has_n] + nx].reshape(ny - 1, nx)
 
         self.shape = (ny, nx)
-        self.exposed_edge = grid.exposed_edge()
-        self.trace = grid.exposed_trace()
         # 32-bit CSR indices: scipy keeps them as given instead of copying
         # them down on every csr_matrix construction.  The data positions
         # above stay native-width for cheap fancy indexing.
@@ -214,13 +212,8 @@ def _add_face_couplings(diag2: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> No
     diag2[1:, :] += ty
 
 
-def _pattern(grid: Grid2D) -> _Pattern:
-    pat = getattr(grid, "_stencil_pattern", None)
-    # Grid2D.tags is a mutable dict: rebuild when the exposed edge moved.
-    if pat is None or pat.exposed_edge is not grid.exposed_edge():
-        pat = _Pattern(grid)
-        grid._stencil_pattern = pat
-    return pat
+# One stencil pattern per grid value, shared by every system assembled on it.
+_pattern = functools.lru_cache(maxsize=GRID_CACHE_SIZE)(_Pattern)
 
 
 def c_update_exact(c_n, s_frozen, dt: float, p: PhysParams):
@@ -280,7 +273,7 @@ def assemble_s_system(
     if source is not None:
         rhs = rhs + pat.volumes * np.asarray(source)
 
-    trace = pat.trace
+    trace = grid.exposed_trace()
     if trace is not None:
         if robin_data is None:
             nu = np.asarray(permeability(r_new, p), dtype=float)
@@ -481,7 +474,7 @@ def step(
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
     pat = _pattern(grid)
-    trace = pat.trace
+    trace = grid.exposed_trace()
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-from .grid import Edge, EdgeTag, ProfileLine, build_grid, grid_line_index
-from .model import PhysParams, enum_fields
+from .grid import Edge, Grid2D, ProfileLine, grid_line_index
+from .model import PhysParams, choice_error
 from .surface import RugosityInit, RugosityInitMode
 
 
@@ -71,14 +71,9 @@ class RunConfig(PhysParams):
     def phys(self) -> PhysParams:
         return PhysParams(**{f.name: getattr(self, f.name) for f in fields(PhysParams)})
 
-    def edge_tags(self) -> dict[Edge, EdgeTag]:
-        tags = {e: EdgeTag.ISOLATED for e in Edge}
-        if self.exposed_edge != "none":
-            tags[Edge(self.exposed_edge)] = EdgeTag.EXPOSED
-        return tags
-
-    def grid(self):
-        return build_grid(self.nx, self.ny, self.edge_tags())
+    def grid(self) -> Grid2D:
+        edge = None if self.exposed_edge == "none" else Edge(self.exposed_edge)
+        return Grid2D(self.nx, self.ny, edge)
 
     def rugosity_init(self) -> RugosityInit:
         return RugosityInit(
@@ -168,9 +163,9 @@ def _field_parser(f):
 # key -> parser of its raw text, built once
 _PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
 
-# keys that take one of a fixed set of words
-_CHOICES = {name: tuple(m.value for m in enum) for name, enum in enum_fields(RunConfig)}
-_CHOICES.update(exposed_edge=EDGE_CHOICES, mode=RUN_MODES)
+# string keys that take one of a fixed set of words; the enum keys are
+# checked by PhysParams.validate
+_CHOICES = {"exposed_edge": EDGE_CHOICES, "mode": RUN_MODES}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -219,10 +214,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
         if isinstance(v, float) and not math.isfinite(v)
     ]
     problems.extend(
-        f"key {key!r}: expected one of {', '.join(choices)}, got {values[key]!r}"
+        choice_error(key, choices, values[key])
         for key, choices in _CHOICES.items()
         if values[key] not in choices
     )
+    # every enum key of RunConfig, r_init_mode included, by its own name
     problems.extend(PhysParams.validate(cfg, enforce_global_bound=cfg.enforce_global_bound))
     if cfg.nx < 3 or cfg.ny < 3:
         problems.append(f"grid needs nx, ny >= 3 (got {cfg.nx}x{cfg.ny})")
@@ -234,7 +230,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"picard_iters must be >= 1 (got {cfg.picard_iters})")
     if cfg.mms_levels < 3:
         problems.append(f"mms_levels must be >= 3 (got {cfg.mms_levels})")
-    problems.extend(cfg.rugosity_init().validate())
+    problems.extend(cfg.rugosity_init().range_violations())
     for k in cfg.snapshot_steps:
         if k < 0 or k > cfg.n_steps:
             problems.append(f"snapshot step {k} outside [0, n_steps={cfg.n_steps}]")

@@ -1,4 +1,4 @@
-"""Invariant auditing, energy functionals, and the MMS convergence harness."""
+"""Invariant auditing and the MMS convergence harness."""
 
 from __future__ import annotations
 
@@ -9,15 +9,7 @@ import numpy as np
 
 from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve
 from .grid import Edge, EdgeTag, Grid2D, build_grid
-from .model import (
-    ConstraintMode,
-    PhysParams,
-    PSI_ZERO,
-    PsiPolynomial,
-    permeability,
-    porosity,
-    rugosity_reaction_potential,
-)
+from .model import ConstraintMode, PhysParams, permeability
 
 S_TOL = 1e-10
 C_TOL = 1e-12
@@ -136,59 +128,6 @@ def audit_step(
         balance_scale=scale,
         flags=tuple(flags),
     )
-
-
-def _grad(field2d: np.ndarray, hx: float, hy: float):
-    # centered differences inside, first-order one-sided at the boundary
-    gy, gx = np.gradient(field2d, hy, hx, edge_order=1)
-    return gx, gy
-
-
-def bulk_energy(state: FieldState, grid: Grid2D, p: PhysParams) -> float:
-    """Volume energy of the s-equation plus the boundary exchange term.
-
-    Trapezoidal quadrature of
-      phi(c)/2 |grad s|^2 + lam*c*phi(c)*s^2/2 - lam*B*phi(c)*c*s^3/3
-    over the square, plus nu(r)/2 (s - sbar)^2 over the exposed trace.
-    Diagnostic only; no decay property is asserted anywhere.
-    """
-    s2 = state.s.reshape(grid.ny, grid.nx)
-    gx, gy = _grad(s2, grid.hx, grid.hy)
-    phi = np.asarray(porosity(state.c, p))
-    dens = (
-        0.5 * phi * (gx.ravel() ** 2 + gy.ravel() ** 2)
-        + 0.5 * p.lam * state.c * phi * state.s**2
-        - (p.lam * p.B / 3.0) * phi * state.c * state.s**3
-    )
-    total = float(np.sum(grid.node_volumes() * dens))
-    trace = grid.exposed_trace()
-    if trace is not None and len(state.r):
-        nu = np.asarray(permeability(state.r, p))
-        s_tr = state.s[trace.indices]
-        total += float(np.sum(trace.weights * 0.5 * nu * (s_tr - p.sbar) ** 2))
-    return total
-
-
-def surface_energy(
-    state: FieldState,
-    grid: Grid2D,
-    p: PhysParams,
-    psi: PsiPolynomial = PSI_ZERO,
-    f_ext: np.ndarray | float = 0.0,
-) -> float:
-    """Boundary energy: Psi(r) + potential of G minus F*r over the trace.
-
-    The constraint indicator contributes zero because the projection keeps
-    r feasible at all times.
-    """
-    trace = grid.exposed_trace()
-    if trace is None or not len(state.r):
-        return 0.0
-    c_tr = state.c[trace.indices]
-    s_tr = state.s[trace.indices]
-    ghat = np.asarray(rugosity_reaction_potential(state.r, c_tr, s_tr, p))
-    dens = np.asarray(psi.value(state.r)) + ghat - np.asarray(f_ext) * state.r
-    return float(np.sum(trace.weights * dens))
 
 
 # ---------------------------------------------------------------------------

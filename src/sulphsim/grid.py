@@ -3,18 +3,23 @@
 Nodes sit at (i*hx, j*hy) with lexicographic index p = j*nx + i.  Each of
 the four boundary edges is tagged exposed (Robin exchange with the ambient
 concentration) or isolated (homogeneous Neumann); at most one edge may be
-exposed, and in the reference configuration it is the left one.
+exposed, and in the reference configuration it is the left one.  A grid is
+an immutable value, so structures derived from it are cached by value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 LINE_ALIGN_TOL = 1e-12
+# Grids whose derived structures (trace, stencil pattern) stay cached at
+# once; bounded so a script that scans grid sizes does not grow without limit.
+GRID_CACHE_SIZE = 16
 
 
 class Edge(Enum):
@@ -37,11 +42,17 @@ DEFAULT_TAGS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grid2D:
+    """nx x ny nodes; exposed_edge is the one Robin edge, None if all are isolated."""
+
     nx: int
     ny: int
-    tags: dict[Edge, EdgeTag] = field(default_factory=lambda: dict(DEFAULT_TAGS))
+    exposed_edge: Edge | None = Edge.LEFT
+
+    def __post_init__(self):
+        if self.nx < 3 or self.ny < 3:
+            raise ValueError(f"grid needs nx, ny >= 3 (got nx={self.nx}, ny={self.ny})")
 
     @property
     def hx(self) -> float:
@@ -80,18 +91,12 @@ class Grid2D:
         wy = self.axis_weights(self.ny, self.hy)
         return (wy[:, None] * wx[None, :]).ravel()
 
-    def exposed_edge(self) -> Edge | None:
-        for e, t in self.tags.items():
-            if t is EdgeTag.EXPOSED:
-                return e
-        return None
-
     def exposed_trace(self) -> "BoundaryTrace | None":
-        e = self.exposed_edge()
+        e = self.exposed_edge
         return None if e is None else boundary_trace(self, e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryTrace:
     """Nodes of one boundary edge, ordered by the free coordinate.
 
@@ -109,18 +114,19 @@ class BoundaryTrace:
 
 
 def build_grid(nx: int, ny: int, tags: dict[Edge, EdgeTag] | None = None) -> Grid2D:
-    if nx < 3 or ny < 3:
-        raise ValueError(f"grid needs nx, ny >= 3 (got nx={nx}, ny={ny})")
+    """A grid with the default tags (left edge exposed) overlaid by tags."""
     full_tags = dict(DEFAULT_TAGS)
     if tags is not None:
         full_tags.update(tags)
-    n_exposed = sum(1 for t in full_tags.values() if t is EdgeTag.EXPOSED)
-    if n_exposed > 1:
+    exposed = [e for e, t in full_tags.items() if t is EdgeTag.EXPOSED]
+    if len(exposed) > 1:
         raise ValueError("at most one exposed edge is supported")
-    return Grid2D(nx=nx, ny=ny, tags=full_tags)
+    return Grid2D(nx=nx, ny=ny, exposed_edge=exposed[0] if exposed else None)
 
 
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def boundary_trace(grid: Grid2D, edge: Edge) -> BoundaryTrace:
+    """The trace of edge on grid, shared by every caller: its arrays are read-only."""
     nx, ny = grid.nx, grid.ny
     if edge is Edge.LEFT:
         idx = np.arange(ny) * nx
@@ -138,6 +144,8 @@ def boundary_trace(grid: Grid2D, edge: Edge) -> BoundaryTrace:
         idx = np.arange(nx) + (ny - 1) * nx
         coords = np.arange(nx) * grid.hx
         w = grid.axis_weights(nx, grid.hx)
+    for a in (idx, coords, w):
+        a.flags.writeable = False
     return BoundaryTrace(edge=edge, indices=idx, coords=coords, weights=w)
 
 

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its arguments: the porosity law
 phi(c) = A + B*c, the rugosity-dependent boundary permeability nu(r), the
-rugosity reaction term G(r, c, s) with its antiderivative in r, and the box
-projection that realizes the constraint r in [0, R0].
+rugosity reaction term G(r, c, s), and the box projection that realizes the
+constraint r in [0, R0].
 """
 
 from __future__ import annotations
@@ -52,6 +52,24 @@ def coerce_enums(obj) -> None:
                 pass
 
 
+def choice_error(key: str, choices, value) -> str:
+    """The one message for a key whose value is not among its choices."""
+    return f"key {key!r}: expected one of {', '.join(choices)}, got {value!r}"
+
+
+def enum_violations(obj) -> list[str]:
+    """One choice_error per enum field of obj whose value names no member.
+
+    Each validate() calls this, so a word coerce_enums could not parse is
+    reported, by field name, instead of running a fallback.
+    """
+    return [
+        choice_error(name, [m.value for m in enum], getattr(obj, name))
+        for name, enum in enum_fields(type(obj))
+        if not isinstance(getattr(obj, name), enum)
+    ]
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """All physical and constitutive constants of one simulation.
@@ -85,7 +103,7 @@ class PhysParams:
 
     def validate(self, enforce_global_bound: bool = True) -> list[str]:
         """Return a list of violated assumptions (empty when valid)."""
-        v = []
+        v = enum_violations(self)
         if not (self.A > 0 and self.A + self.B * self.C0 > 0):
             v.append(
                 f"(A1): requires A > 0 and A + B*C0 > 0 "
@@ -120,22 +138,6 @@ class PhysParams:
         return self.B <= 1.0 / self.S0 + 1e-15 and self.sbar <= self.S0 + 1e-15
 
 
-@dataclass(frozen=True)
-class ConstitutiveReport:
-    """Derived bounds of the constitutive laws, used by tests and diagnostics."""
-
-    phi_min: float
-    phi_max: float
-    nu_at_zero: float
-    nu_at_rl: float
-
-
-def constitutive_report(p: PhysParams) -> ConstitutiveReport:
-    lo = min(p.A, p.A + p.B * p.C0)
-    hi = max(p.A, p.A + p.B * p.C0)
-    return ConstitutiveReport(phi_min=lo, phi_max=hi, nu_at_zero=p.nu0, nu_at_rl=p.nul)
-
-
 def porosity(c, p: PhysParams):
     """Affine porosity A + B*c.
 
@@ -162,7 +164,9 @@ def permeability(r, p: PhysParams):
     r = np.asarray(r, dtype=float)
     if p.nu_law is NuLaw.LINEAR:
         return p.nu0 + (p.nul - p.nu0) * r / p.rl
-    return p.nu0 + (p.nul - p.nu0) * r * r / (p.rl * p.rl)
+    if p.nu_law is NuLaw.PARABOLIC:
+        return p.nu0 + (p.nul - p.nu0) * r * r / (p.rl * p.rl)
+    raise ValueError(f"unknown nu_law {p.nu_law!r}")
 
 
 def rugosity_reaction(r, c, s, p: PhysParams):
@@ -176,19 +180,6 @@ def rugosity_reaction(r, c, s, p: PhysParams):
     s = np.asarray(s, dtype=float)
     phi = p.A + p.B * c
     return -phi * c * s * (1.0 + r / (1.0 + r)) * p.g
-
-
-def rugosity_reaction_potential(r, c, s, p: PhysParams):
-    """r-antiderivative of the reaction term, normalized to vanish at r=0.
-
-    Integrating the bracket gives 2r - log(1+r); this enters the surface
-    energy functional.
-    """
-    r = np.asarray(r, dtype=float)
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    phi = p.A + p.B * c
-    return -phi * c * s * p.g * (2.0 * r - np.log1p(r))
 
 
 def project_box(r_trial, dt: float, p: PhysParams):

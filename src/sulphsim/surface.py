@@ -21,6 +21,7 @@ from .model import (
     PSI_ZERO,
     PsiPolynomial,
     coerce_enums,
+    enum_violations,
     project_box,
     rugosity_reaction,
 )
@@ -54,6 +55,11 @@ class RugosityInit:
     __post_init__ = coerce_enums
 
     def validate(self) -> list[str]:
+        """Every violated rule: a mode that names no member, then the ranges."""
+        return enum_violations(self) + self.range_violations()
+
+    def range_violations(self) -> list[str]:
+        """The numeric rules alone; validate_config reports r_init_mode by its key."""
         v = []
         if self.lo_factor < 0 or self.hi_factor < 0:
             v.append("rugosity factors must be >= 0")

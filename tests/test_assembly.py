@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sulphsim.bulk import FieldState, RobinData, assemble_s_system
-from sulphsim.grid import Edge, EdgeTag, build_grid
+from sulphsim.grid import Edge, EdgeTag, Grid2D, build_grid
 from sulphsim.model import PhysParams, permeability
 
 
@@ -23,7 +23,7 @@ def dense_oracle(grid, c_new, c_old, s_old, dt, p, source=None, robin=None):
     phi_old = p.A + p.B * np.asarray(c_old)
     amat = np.zeros((n, n))
     b = np.zeros(n)
-    exposed = grid.exposed_edge()
+    exposed = grid.exposed_edge
     trace = grid.exposed_trace()
     tr_pos = {}
     if trace is not None:
@@ -78,8 +78,8 @@ def make_state(grid, c_old, s_old):
         t=0.0,
         s=np.asarray(s_old, dtype=float),
         c=np.asarray(c_old, dtype=float),
-        r=np.zeros(grid.ny if grid.exposed_edge() else 0),
-        xi=np.zeros(grid.ny if grid.exposed_edge() else 0),
+        r=np.zeros(grid.ny if grid.exposed_edge else 0),
+        xi=np.zeros(grid.ny if grid.exposed_edge else 0),
     )
 
 
@@ -144,13 +144,12 @@ class TestAgainstDenseOracle:
 
 
     def test_exposed_edge_follows_retagging(self):
-        # the exposed trace is cached with the grid's stencil pattern; each
-        # assembly must still use the edge the grid is tagged with now
-        grid = build_grid(5, 4)
+        # patterns and traces are cached by grid value; a fresh grid of the
+        # same size with another exposed edge must assemble that edge
         p = PhysParams()
         rng = np.random.default_rng(30)
-        for edge in (Edge.LEFT, Edge.LEFT, Edge.TOP, Edge.RIGHT, Edge.BOTTOM):
-            grid.tags.update({e: EdgeTag.EXPOSED if e is edge else EdgeTag.ISOLATED for e in Edge})
+        for edge in (Edge.LEFT, Edge.LEFT, Edge.TOP, Edge.RIGHT, Edge.BOTTOM, Edge.LEFT):
+            grid = Grid2D(5, 4, edge)
             trace = grid.exposed_trace()
             c = rng.uniform(0.2, 0.8, grid.n_nodes)
             s_old = rng.uniform(0, 1, grid.n_nodes)

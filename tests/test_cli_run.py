@@ -261,6 +261,17 @@ class TestCli:
         assert text.startswith("level,h_or_dt,err_L2,err_max,order_L2,order_max")
         assert len(text.strip().split("\n")) == 4
 
+    def test_mms_levels_validated_like_run(self, tmp_path, capsys, monkeypatch):
+        # --levels is the mms_levels key, so it is rejected before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr("sulphsim.cli.mms_convergence", no_solve)
+        code = main(["mms", "--study", "spatial", "--levels", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "mms_levels must be >= 3 (got 2)" in capsys.readouterr().err
+        assert not (tmp_path / "mms_spatial.csv").exists()
+
     def test_sweep_subcommand(self, tmp_path):
         c1 = tmp_path / "c1.ini"
         c2 = tmp_path / "c2.ini"

@@ -10,13 +10,11 @@ from sulphsim.diagnostics import (
     InvariantReport,
     ManufacturedFields,
     audit_step,
-    bulk_energy,
     mms_convergence,
     run_mms_level,
-    surface_energy,
 )
 from sulphsim.grid import build_grid
-from sulphsim.model import ConstraintMode, PhysParams, PsiPolynomial
+from sulphsim.model import ConstraintMode, PhysParams
 
 
 def make_state(grid, s, c, r=None):
@@ -96,74 +94,6 @@ class TestAuditStep:
             rep.append(audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, zero_terms(), grid, step_index=k))
         assert len(rep.entries) == 3
         assert rep.summary()["steps"] == "3"
-
-
-class TestBulkEnergy:
-    def test_zero_state_zero_ambient(self):
-        p = PhysParams(sbar=0.0)
-        grid = build_grid(9, 9)
-        st = make_state(grid, np.zeros(81), np.zeros(81))
-        assert bulk_energy(st, grid, p) == 0.0
-
-    def test_uniform_ambient_no_calcite(self):
-        p = PhysParams(sbar=0.6)
-        grid = build_grid(9, 9)
-        st = make_state(grid, np.full(81, 0.6), np.zeros(81), np.full(9, 0.3))
-        assert bulk_energy(st, grid, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_linear_profile_closed_form(self):
-        # s = x1, c = 1, phi = 1, lam = 1, nu = 0:
-        # E = 1/2*|grad|^2 + 1/2*int x1^2 = 1/2 + 1/6
-        p = PhysParams(A=1.0, B=0.0, lam=1.0, nu0=0.0, nul=0.0)
-        grid = build_grid(33, 33)
-        st = make_state(grid, grid.x1(), np.ones(grid.n_nodes), np.zeros(33))
-        assert bulk_energy(st, grid, p) == pytest.approx(0.5 + 1.0 / 6.0, abs=1e-3)
-
-    def test_traversal_order_invariance(self):
-        p = PhysParams()
-        grid = build_grid(9, 9)
-        rng = np.random.default_rng(3)
-        st = make_state(
-            grid, rng.uniform(0, 1, 81), rng.uniform(0, 1, 81), rng.uniform(0, 1, 9)
-        )
-        assert bulk_energy(st, grid, p) == bulk_energy(st.copy(), grid, p)
-
-
-class TestSurfaceEnergy:
-    def test_zero_rugosity(self):
-        p = PhysParams()
-        grid = build_grid(9, 9)
-        st = make_state(grid, np.ones(81), np.ones(81), np.zeros(9))
-        assert surface_energy(st, grid, p) == 0.0
-
-    def test_zero_reactants_zero_psi_zero_forcing(self):
-        p = PhysParams()
-        grid = build_grid(9, 9)
-        st = make_state(grid, np.zeros(81), np.ones(81), np.full(9, 0.7))
-        assert surface_energy(st, grid, p) == 0.0
-
-    def test_against_nodewise_quadrature(self):
-        from sulphsim.model import rugosity_reaction_potential
-
-        p = PhysParams()
-        grid = build_grid(9, 17)
-        rng = np.random.default_rng(14)
-        st = make_state(
-            grid, rng.uniform(0, 1, grid.n_nodes), rng.uniform(0, 1, grid.n_nodes),
-            rng.uniform(0, 2, 17),
-        )
-        psi = PsiPolynomial((0.1, -0.2, 0.05, 0.0))
-        f_ext = 0.3
-        trace = grid.exposed_trace()
-        total = 0.0
-        for k in range(len(trace)):
-            idx = trace.indices[k]
-            ghat = rugosity_reaction_potential(st.r[k], st.c[idx], st.s[idx], p)
-            total += trace.weights[k] * (
-                float(psi.value(st.r[k])) + float(ghat) - f_ext * st.r[k]
-            )
-        got = surface_energy(st, grid, p, psi=psi, f_ext=f_ext)
-        assert got == pytest.approx(total, rel=1e-13)
 
 
 class TestManufacturedSource:

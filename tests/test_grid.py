@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sulphsim.bulk import _pattern
 from sulphsim.grid import (
     Edge,
     EdgeTag,
+    Grid2D,
     ProfileLine,
     boundary_trace,
     build_grid,
@@ -27,6 +31,8 @@ class TestBuildGrid:
             build_grid(2, 5)
         with pytest.raises(ValueError):
             build_grid(5, 2)
+        with pytest.raises(ValueError, match="nx, ny >= 3"):
+            Grid2D(2, 5, None)
 
     def test_rejects_two_exposed_edges(self):
         with pytest.raises(ValueError):
@@ -34,13 +40,36 @@ class TestBuildGrid:
 
     def test_default_tags_left_exposed(self):
         g = build_grid(5, 5)
-        assert g.exposed_edge() is Edge.LEFT
-        assert g.tags[Edge.RIGHT] is EdgeTag.ISOLATED
+        assert g.exposed_edge is Edge.LEFT
+        assert g == Grid2D(5, 5, Edge.LEFT)
 
     def test_all_isolated_allowed(self):
         g = build_grid(5, 5, {Edge.LEFT: EdgeTag.ISOLATED})
-        assert g.exposed_edge() is None
+        assert g.exposed_edge is None
         assert g.exposed_trace() is None
+
+
+class TestGridValue:
+    def test_fields_cannot_be_assigned(self):
+        g = build_grid(5, 5)
+        for name, value in (("nx", 7), ("exposed_edge", Edge.TOP)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, value)
+
+    def test_equal_grids_share_pattern_and_trace(self):
+        a = build_grid(9, 7, {Edge.LEFT: EdgeTag.ISOLATED, Edge.TOP: EdgeTag.EXPOSED})
+        b = Grid2D(9, 7, Edge.TOP)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert _pattern(a) is _pattern(b)
+        assert a.exposed_trace() is b.exposed_trace()
+        assert _pattern(a) is not _pattern(Grid2D(9, 7, Edge.LEFT))
+
+    def test_trace_arrays_read_only(self):
+        trace = build_grid(5, 4).exposed_trace()
+        for arr in (trace.indices, trace.coords, trace.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestIndexing:

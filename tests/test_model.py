@@ -6,12 +6,10 @@ from sulphsim.model import (
     NuLaw,
     PhysParams,
     PsiPolynomial,
-    constitutive_report,
     permeability,
     porosity,
     project_box,
     rugosity_reaction,
-    rugosity_reaction_potential,
 )
 
 
@@ -55,29 +53,29 @@ class TestPorosity:
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_bounded_by_report(self):
+        # porosity stays between its values at c = 0 and c = C0
         p = params(A=0.1, B=-0.05)
-        rep = constitutive_report(p)
         c = np.linspace(0, p.C0, 500)
         phi = porosity(c, p)
-        assert np.all(phi >= rep.phi_min - 1e-15)
-        assert np.all(phi <= rep.phi_max + 1e-15)
+        ends = (p.A, p.A + p.B * p.C0)
+        assert np.all(phi >= min(ends) - 1e-15)
+        assert np.all(phi <= max(ends) + 1e-15)
 
 
 class TestConstitutiveReport:
+    """Bounds of the constitutive laws at their end points."""
+
     def test_extremes(self):
-        rep = constitutive_report(params(A=0.1, B=-0.05, C0=1.0))
-        assert rep.phi_min == pytest.approx(0.05)
-        assert rep.phi_max == pytest.approx(0.1)
-        rep2 = constitutive_report(params(A=0.1, B=0.5, C0=1.0))
-        assert rep2.phi_min == pytest.approx(0.1)
-        assert rep2.phi_max == pytest.approx(0.6)
+        for B, lo, hi in ((-0.05, 0.05, 0.1), (0.5, 0.1, 0.6)):
+            phi = porosity(np.array([0.0, 1.0]), params(A=0.1, B=B, C0=1.0))
+            assert phi.min() == pytest.approx(lo)
+            assert phi.max() == pytest.approx(hi)
 
     def test_nu_endpoints_both_laws(self):
         for law in NuLaw:
             p = params(nu_law=law, nu0=0.3, nul=0.9, rl=2.0)
-            rep = constitutive_report(p)
-            assert permeability(0.0, p) == rep.nu_at_zero == 0.3
-            assert permeability(p.rl, p) == pytest.approx(rep.nu_at_rl)
+            assert permeability(0.0, p) == p.nu0 == 0.3
+            assert permeability(p.rl, p) == pytest.approx(p.nul)
 
 
 class TestPermeability:
@@ -108,6 +106,18 @@ class TestPermeability:
         p = params(nu_law=NuLaw.PARABOLIC, nu0=0.0, nul=1.0, rl=1.0)
         assert permeability(2.0, p) == pytest.approx(4.0)
 
+    def test_unknown_law_rejected(self):
+        # a word that names no law must not fall through to the parabolic one
+        p = params(nu_law="foo")
+        assert p.validate() == ["key 'nu_law': expected one of linear, parabolic, got 'foo'"]
+        with pytest.raises(ValueError, match="nu_law"):
+            permeability(0.5, p)
+
+    def test_unknown_constraint_mode_reported(self):
+        assert params(constraint_mode="x").validate() == [
+            "key 'constraint_mode': expected one of free, box, got 'x'"
+        ]
+
 
 class TestRugosityReaction:
     def test_vanishes_without_reactants(self):
@@ -132,40 +142,6 @@ class TestRugosityReaction:
             g = rugosity_reaction(r, c, s, p)
             assert np.all(g <= 0)
             assert np.all(np.diff(np.abs(g)) >= -1e-15)
-
-
-class TestReactionPotential:
-    def test_normalized_at_zero(self):
-        p = params()
-        assert rugosity_reaction_potential(0.0, 0.5, 0.5, p) == 0.0
-
-    def test_closed_form_value(self):
-        # -30*(2 - ln 2), checked against extended-precision evaluation
-        p = params(A=1.0, B=0.0, g=30.0)
-        got = rugosity_reaction_potential(1.0, 1.0, 1.0, p)
-        assert got == pytest.approx(-39.20558458320164, abs=1e-12)
-
-    def test_matches_quadrature_of_reaction(self):
-        # potential(1) - potential(0) == integral of the reaction over [0,1]
-        p = params(A=0.1, B=-0.05, g=30.0)
-        r = np.linspace(0.0, 1.0, 200001)
-        integral = np.trapezoid(rugosity_reaction(r, 0.8, 0.6, p), r)
-        assert rugosity_reaction_potential(1.0, 0.8, 0.6, p) == pytest.approx(
-            integral, rel=1e-9
-        )
-
-    def test_central_difference_recovers_reaction(self):
-        rng = np.random.default_rng(3)
-        p = params(A=0.1, B=-0.05, g=30.0)
-        h = 1e-4
-        for _ in range(50):
-            r = rng.uniform(0.05, 4.0)
-            c, s = rng.uniform(0.05, 1.0, 2)
-            d = (
-                rugosity_reaction_potential(r + h, c, s, p)
-                - rugosity_reaction_potential(r - h, c, s, p)
-            ) / (2 * h)
-            assert d == pytest.approx(rugosity_reaction(r, c, s, p), abs=1e-6)
 
 
 class TestProjectBox:

@@ -75,6 +75,16 @@ class TestInitRugosity:
         )
         assert np.allclose(r, [0.1, 0.1, 0.4, 0.4, 0.4])
 
+    def test_unknown_mode_rejected(self):
+        # a word that names no mode must not fall through to Weibull draws
+        g = self.grid()
+        init = RugosityInit(mode="bad")
+        assert init.validate() == [
+            "key 'mode': expected one of constant, piecewise, weibull, got 'bad'"
+        ]
+        with pytest.raises(ValueError, match="mode"):
+            init_rugosity(g.exposed_trace(), g, init, Xoshiro256pp(1), PhysParams())
+
     def test_weibull_same_seed_bit_identical(self):
         g = self.grid(ny=33)
         init = RugosityInit(mode=RugosityInitMode.WEIBULL, r0=0.2)
