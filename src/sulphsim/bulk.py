@@ -327,6 +327,11 @@ class CgNonConvergence(RuntimeError):
             f"(last residual {history[-1]:.3e})"
         )
         self.residual_history = history
+        self.max_iter = max_iter
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it pickles (as from a worker process)
+        return type(self), (self.residual_history, self.max_iter)
 
 
 class CgBreakdown(RuntimeError):

@@ -10,6 +10,7 @@ import numpy as np
 from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve
 from .grid import Edge, EdgeTag, Grid2D, build_grid
 from .model import ConstraintMode, PhysParams, permeability
+from .pool import map_jobs
 
 S_TOL = 1e-10
 C_TOL = 1e-12
@@ -148,17 +149,25 @@ class ManufacturedFields:
 
     p: PhysParams
     # (x1, x2, cos(pi x1), cos(pi x2), sin^2(pi x1)) for one set of nodes,
-    # set by at_nodes().
+    # and (x2, cos(pi x2), rl*(0.5 + 0.25 sin(pi x2))) for one set of
+    # left-edge nodes, set by at_nodes().
     nodes: tuple | None = field(default=None, compare=False, repr=False)
+    edge: tuple | None = field(default=None, compare=False, repr=False)
 
-    def at_nodes(self, x1: np.ndarray, x2: np.ndarray) -> "ManufacturedFields":
-        """A copy that evaluates the spatial factors at (x1, x2) once, here.
+    def at_nodes(
+        self, x1: np.ndarray, x2: np.ndarray, edge_x2: np.ndarray | None = None
+    ) -> "ManufacturedFields":
+        """A copy that evaluates the spatial factors once, here.
 
-        Its c_field and source reuse them whenever they are called with
-        these very arrays, which must not change afterwards.  A subclass
-        that overrides c_field or source keeps its own definition.
+        The factors are those at the nodes (x1, x2) and, when given, at the
+        left-edge nodes edge_x2.  c_field and source reuse them whenever
+        they are called with x1 and x2, r_field and robin_override whenever
+        they are called with edge_x2; none of these arrays may change
+        afterwards.  A subclass that overrides one of those methods keeps
+        its own definition.
         """
-        return replace(self, nodes=(x1, x2) + self._factors(x1, x2))
+        edge = None if edge_x2 is None else (edge_x2,) + self._edge_factors(edge_x2)
+        return replace(self, nodes=(x1, x2) + self._factors(x1, x2), edge=edge)
 
     def _factors(self, x1, x2):
         """cos(pi x1), cos(pi x2) and sin^2(pi x1)."""
@@ -167,6 +176,13 @@ class ManufacturedFields:
             return nodes[2:]
         return np.cos(np.pi * x1), np.cos(np.pi * x2), np.sin(np.pi * x1) ** 2
 
+    def _edge_factors(self, x2):
+        """cos(pi x2) and rl*(0.5 + 0.25 sin(pi x2)) on the left edge."""
+        edge = self.edge
+        if edge is not None and x2 is edge[0]:
+            return edge[1:]
+        return np.cos(np.pi * x2), self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2))
+
     def s_exact(self, x1, x2, t):
         return self._s(np.cos(np.pi * x1), np.cos(np.pi * x2), t)
 
@@ -174,7 +190,7 @@ class ManufacturedFields:
         return self._c(self._factors(x1, x2)[0], t)
 
     def r_field(self, x2, t):
-        return self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2)) * (1.0 - math.exp(-t))
+        return self._edge_factors(x2)[1] * (1.0 - math.exp(-t))
 
     # s and c in terms of the spatial factors, so that each is evaluated
     # once per call, or once per set of nodes (see at_nodes()).
@@ -206,7 +222,7 @@ class ManufacturedFields:
         """
         p = self.p
         nu = np.asarray(permeability(self.r_field(coords, t), p), dtype=float)
-        s_edge = self.s_exact(0.0, coords, t)
+        s_edge = self._s(1.0, self._edge_factors(coords)[0], t)  # cos(pi*0) = 1
         return RobinData(
             nu=nu,
             sbar=np.full(len(coords), p.sbar),
@@ -273,7 +289,7 @@ def run_mms_level(
     if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, t_end):
         raise ValueError(f"dt={dt} does not divide t_end={t_end}")
 
-    mf = mf.at_nodes(x1, x2)
+    mf = mf.at_nodes(x1, x2, trace.coords)
     s = mf.s_exact(x1, x2, 0.0)
     c_old = mf.c_field(x1, x2, 0.0)
     for k in range(1, n_steps + 1):
@@ -300,6 +316,12 @@ def run_mms_level(
     return err_l2, err_max
 
 
+def _mms_level_job(job: tuple[ManufacturedFields, int, float]) -> tuple[float, float]:
+    """run_mms_level for one (fields, n, dt) level of a study, up to MMS_T_END."""
+    mf, n, dt = job
+    return run_mms_level(mf, n, dt, MMS_T_END)
+
+
 SPATIAL_DT = 1e-5
 TEMPORAL_GRID = 129
 TEMPORAL_DT0 = 0.05
@@ -316,7 +338,9 @@ def mms_convergence(
     Spatial: dt fixed at 1e-5, grids 17^2 -> 33^2 -> 65^2 -> 129^2 (then
     further refined by nesting).  Temporal: grid fixed at 129^2, dt halved
     per level starting from 0.05.  Errors are measured at t = 0.1 against
-    the manufactured solution.
+    the manufactured solution.  The levels run in up to SULPHSIM_THREADS
+    worker processes (see pool.map_jobs); the table does not depend on how
+    many.
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 levels")
@@ -327,10 +351,12 @@ def mms_convergence(
     else:
         raise ValueError(f"unknown study {study!r}")
     mf = ManufacturedFields(p if p is not None else PhysParams())
+    # The last level, on the finest grid or with the smallest dt, costs the
+    # most, so it is submitted first; the errors come back in plan order.
+    errors = map_jobs(_mms_level_job, [(mf, n, dt) for n, dt in reversed(plan)])[::-1]
 
     rows: list[ConvergenceRow] = []
-    for lvl, (n, dt) in enumerate(plan):
-        e2, em = run_mms_level(mf, n, dt, MMS_T_END)
+    for lvl, ((n, dt), (e2, em)) in enumerate(zip(plan, errors)):
         h_or_dt = 1.0 / (n - 1) if study == "spatial" else dt
         order_l2 = order_max = None
         if rows:

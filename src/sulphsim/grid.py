@@ -120,7 +120,11 @@ def build_grid(nx: int, ny: int, tags: dict[Edge, EdgeTag] | None = None) -> Gri
         full_tags.update(tags)
     exposed = [e for e, t in full_tags.items() if t is EdgeTag.EXPOSED]
     if len(exposed) > 1:
-        raise ValueError("at most one exposed edge is supported")
+        names = ", ".join(e.value for e in exposed)
+        raise ValueError(
+            f"at most one exposed edge is supported (got {names}); the left edge is "
+            "exposed by default, so to expose another pass Edge.LEFT: EdgeTag.ISOLATED too"
+        )
     return Grid2D(nx=nx, ny=ny, exposed_edge=exposed[0] if exposed else None)
 
 

@@ -19,6 +19,7 @@ from .output import (
     write_profiles_csv,
     write_vtk,
 )
+from .pool import map_jobs
 from .rng import Xoshiro256pp
 from .surface import init_rugosity
 
@@ -184,19 +185,6 @@ def _sweep_job(cfg: RunConfig) -> RunResult:
         return RunResult(1, cfg, InvariantReport(), RunMetrics(), error=str(exc))
 
 
-def _sweep_workers() -> int:
-    """Worker processes for sweep(): the SULPHSIM_THREADS integer, default 1."""
-    value = os.environ.get("SULPHSIM_THREADS", "1")
-    problem = ConfigError(f"SULPHSIM_THREADS must be an integer >= 1 (got {value!r})")
-    try:
-        workers = int(value)
-    except ValueError:
-        raise problem from None
-    if workers < 1:
-        raise problem
-    return workers
-
-
 def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[RunResult]:
     """Run several configurations in up to SULPHSIM_THREADS worker processes.
 
@@ -208,22 +196,7 @@ def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[Run
     out_dirs = [c.out_dir for c in configs]
     if len(set(out_dirs)) != len(out_dirs):
         raise ConfigError("sweep configurations must use distinct out_dirs")
-    workers = min(_sweep_workers(), len(configs))
-
-    if workers > 1:
-        # Processes, not threads: a run's many small numpy calls hold the
-        # GIL, so threads cannot overlap them.  fork whatever the platform's
-        # default, so workers start from the parent's module state instead
-        # of a fresh import.  Imported here, so that importing sulphsim does
-        # not pay for multiprocessing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(_sweep_job, configs))
-    else:
-        results = [_sweep_job(cfg) for cfg in configs]
+    results = map_jobs(_sweep_job, configs)
 
     if summary_path is not None:
         with open(summary_path, "w", newline="\n") as fh:

@@ -132,7 +132,9 @@ class TestCriterion3KineticsOracle:
 
 
 class TestCriterion4MmsOrders:
-    def test_spatial_second_order_temporal_first_order(self):
+    def test_spatial_second_order_temporal_first_order(self, monkeypatch):
+        # the levels run in one worker process per usable core
+        monkeypatch.setenv("SULPHSIM_THREADS", str(len(os.sched_getaffinity(0))))
         t0 = time.monotonic()
         spatial = mms_convergence("spatial", 4)
         temporal = mms_convergence("temporal", 3)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestNonConvergence:
         hist = exc.value.residual_history
         assert len(hist) >= 2
         assert all(h >= 0 for h in hist)
+
+    def test_round_trips_through_pickle(self):
+        # as it must to leave a worker process as itself
+        err = CgNonConvergence([1.0, 0.5], 3)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is CgNonConvergence
+        assert str(back) == str(err)
+        assert back.residual_history == [1.0, 0.5]
 
 
 class TestFailFast:

@@ -204,6 +204,27 @@ class TestSweep:
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2
 
+    def test_mms_runs_levels_in_its_sweep_worker(self, tmp_path, monkeypatch):
+        # no pool inside a pool: an MMS-mode config's levels run serially in
+        # the sweep worker, a direct child of this process
+        import sulphsim.diagnostics as diagnostics
+
+        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
+            return float(os.getpid()), float(os.getppid())
+
+        monkeypatch.setattr(diagnostics, "run_mms_level", report)
+        monkeypatch.setenv("SULPHSIM_THREADS", "2")
+        cfgs = [small_config(tmp_path / f"m{i}", mode="mms_spatial", mms_levels=3) for i in range(2)]
+        results = sweep(cfgs)
+        assert [r.status for r in results] == [0, 0]
+        level_pids = []
+        for cfg in cfgs:
+            rows = (tmp_path / os.path.basename(cfg.out_dir) / "mms_spatial.csv").read_text().split()[1:]
+            pids = {(int(float(row.split(",")[2])), int(float(row.split(",")[3]))) for row in rows}
+            assert len(rows) == 3 and len(pids) == 1
+            level_pids.extend(pids)
+        assert all(pid != os.getpid() and parent == os.getpid() for pid, parent in level_pids)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_results_are_slim_and_pickle(self, tmp_path, monkeypatch, workers):
         monkeypatch.setenv("SULPHSIM_THREADS", workers)
@@ -297,6 +318,24 @@ class TestCli:
         assert repr(value) in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_mms_bad_worker_count_exits_2_like_sweep(self, tmp_path, monkeypatch, capsys):
+        import sulphsim.diagnostics as diagnostics
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(diagnostics, "run_mms_level", no_solve)
+        monkeypatch.setenv("SULPHSIM_THREADS", "abc")
+        manifest = tmp_path / "runs.txt"
+        manifest.write_text("")
+        assert main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+        sweep_err = capsys.readouterr().err
+        assert main(["mms", "--study", "spatial", "--levels", "3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == sweep_err
+        assert err.startswith("error: SULPHSIM_THREADS") and "'abc'" in err
+        assert not (tmp_path / "mms_spatial.csv").exists()
 
     def test_worker_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SULPHSIM_THREADS", "2")

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from sulphsim.bulk import BalanceTerms, FieldState, assemble_s_system, step
+from sulphsim import diagnostics
+from sulphsim.bulk import BalanceTerms, CgBreakdown, CgNonConvergence, FieldState, assemble_s_system, step
 from sulphsim.diagnostics import (
     ConvergenceRow,
     ConvergenceTable,
@@ -144,6 +146,20 @@ class TestManufacturedSource:
         assert np.array_equal(bound.source(y1, x2, 0.05), mf.source(y1, x2, 0.05))
         assert not np.array_equal(bound.source(y1, x2, 0.05), mf.source(x1, x2, 0.05))
 
+    def test_fields_at_edge_nodes_bit_identical(self):
+        mf = ManufacturedFields(PhysParams())
+        grid = build_grid(9, 17)
+        coords = grid.exposed_trace().coords
+        bound = mf.at_nodes(grid.x1(), grid.x2(), coords)
+        for t in (0.0, 0.03, 0.1):
+            assert np.array_equal(bound.r_field(coords, t), mf.r_field(coords, t))
+            got, want = bound.robin_override(coords, t), mf.robin_override(coords, t)
+            for name in ("nu", "sbar", "flux"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        # other edge nodes are evaluated afresh
+        other = coords * 0.5
+        assert np.array_equal(bound.robin_override(other, 0.05).flux, mf.robin_override(other, 0.05).flux)
+
     def test_manufactured_solution_satisfies_robin_override(self):
         mf = ManufacturedFields(PhysParams())
         x2 = np.linspace(0, 1, 33)
@@ -254,3 +270,54 @@ class TestMmsMachinery:
             mms_convergence("diagonal", 3)
         with pytest.raises(ValueError):
             mms_convergence("spatial", 2)
+
+
+class TestMmsLevelsInWorkers:
+    def test_table_byte_identical_for_one_and_two_workers(self, monkeypatch):
+        # forked workers inherit the patched end time: 10 steps per level
+        monkeypatch.setattr(diagnostics, "MMS_T_END", 10 * diagnostics.SPATIAL_DT)
+        csv = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SULPHSIM_THREADS", workers)
+            csv[workers] = mms_convergence("spatial", 3).to_csv()
+        assert csv["2"] == csv["1"]
+        assert len(csv["1"].strip().split("\n")) == 4
+
+    def test_levels_run_in_worker_processes_in_plan_order(self, monkeypatch):
+        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
+            return float(os.getpid()), float(n)
+
+        monkeypatch.setattr(diagnostics, "run_mms_level", report)
+        monkeypatch.setenv("SULPHSIM_THREADS", "2")
+        rows = mms_convergence("spatial", 4).rows
+        assert [r.err_max for r in rows] == [17.0, 33.0, 65.0, 129.0]
+        pids = {int(r.err_l2) for r in rows}
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+
+    def test_costliest_level_starts_first(self, monkeypatch):
+        started = []
+
+        def record(mf, n, dt, t_end, cg_rel_tol=1e-12):
+            started.append((n, dt))
+            return 1.0, 1.0
+
+        monkeypatch.setattr(diagnostics, "run_mms_level", record)
+        mms_convergence("spatial", 3)
+        mms_convergence("temporal", 3)
+        dt, n = diagnostics.SPATIAL_DT, diagnostics.TEMPORAL_GRID
+        assert started == [(65, dt), (33, dt), (17, dt), (n, 0.0125), (n, 0.025), (n, 0.05)]
+
+    @pytest.mark.parametrize(
+        "error", [CgBreakdown("p.Ap <= 0 at iteration 3"), CgNonConvergence([1.0, 0.5], 3)]
+    )
+    def test_level_exception_reaches_caller_as_itself(self, monkeypatch, error):
+        def fail(mf, n, dt, t_end, cg_rel_tol=1e-12):
+            raise error
+
+        monkeypatch.setattr(diagnostics, "run_mms_level", fail)
+        monkeypatch.setenv("SULPHSIM_THREADS", "2")
+        with pytest.raises(type(error)) as exc:
+            mms_convergence("spatial", 3)
+        assert type(exc.value) is type(error)
+        assert str(exc.value) == str(error)

@@ -38,6 +38,17 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(5, 5, {Edge.LEFT: EdgeTag.EXPOSED, Edge.TOP: EdgeTag.EXPOSED})
 
+    def test_second_exposed_edge_message_names_the_default(self):
+        # tags overlay the defaults, in which the left edge is exposed
+        with pytest.raises(ValueError) as exc:
+            build_grid(5, 5, {Edge.TOP: EdgeTag.EXPOSED})
+        msg = str(exc.value)
+        assert "(got left, top)" in msg
+        assert "left edge is exposed by default" in msg
+        assert "Edge.LEFT: EdgeTag.ISOLATED" in msg
+        g = build_grid(5, 5, {Edge.LEFT: EdgeTag.ISOLATED, Edge.TOP: EdgeTag.EXPOSED})
+        assert g.exposed_edge is Edge.TOP
+
     def test_default_tags_left_exposed(self):
         g = build_grid(5, 5)
         assert g.exposed_edge is Edge.LEFT
