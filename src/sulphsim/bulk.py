@@ -31,7 +31,9 @@ under refinement.
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,30 +83,38 @@ class LinearSystem:
     pattern is the grid stencil the system was assembled on and
     model_coefs = (phi_bar, m_bar) the coefficients of the
     constant-coefficient model operator that preconditions it.  A system
-    built by hand, without them, is preconditioned with Jacobi.
+    built by hand, without them, is preconditioned with Jacobi.  A grid
+    system stores five entries per row (see _Pattern): the stencil's
+    nonzeros plus an explicit 0 for each neighbour a boundary row lacks,
+    placed on the row's own column; phi = (phi(c_old), phi(c_new)) are the
+    porosities it was assembled with.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     rhs: np.ndarray
-    dominance_margin: float
     pattern: _Pattern | None = None
     model_coefs: tuple[float, float] | None = None
+    phi: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return len(self.rhs)
 
     def matrix(self) -> sp.csr_matrix:
+        if self.pattern is not None:
+            # a shallow copy of the pattern's template skips the ~25 us of
+            # checks in scipy's constructor; it shares the read-only indices
+            a = copy.copy(self.pattern.template)
+            a.data = self.data
+            return a
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def dense(self) -> np.ndarray:
-        return self.matrix().toarray()
-
     def diagonal(self) -> np.ndarray:
+        """The matrix diagonal; for a grid system a strided view into data."""
         if self.pattern is not None:
-            return self.data[self.pattern.diag_pos]
+            return self.data[self.pattern.diag_slot]
         return self.matrix().diagonal()
 
 
@@ -123,93 +133,88 @@ def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return q * np.sqrt(c), lam
 
 
+# Slots of one CSR row, in ascending column order p-nx, p-1, p, p+1, p+nx.
+SOUTH, WEST, DIAG, EAST, NORTH = range(5)
+
+
 class _Pattern:
     """Fixed CSR structure of the 5-point stencil for one grid.
 
-    Precomputes, once per grid (see _pattern), where each diagonal and face
-    contribution lands in the CSR data array, so per-step assembly is pure
-    vectorized fills.  Face arrays are 2D: x-faces (ny, nx-1) join node
-    (j, i) to (j, i+1), y-faces (ny-1, nx) join (j, i) to (j+1, i).
+    Every row has five slots S, W, D, E, N, whose columns p-nx, p-1, p,
+    p+1, p+nx ascend.  A neighbour that a boundary row lacks keeps its slot
+    as an explicit 0 on the row's own column.  The data array of a system
+    therefore reshapes to (ny, nx, 5), and each per-step fill is one
+    strided write instead of a scatter; a matrix-vector product sums the
+    real entries of a row in the same order as without the pads, each of
+    which adds +0.0.  Face arrays are flat: tx[p] joins node p to p+1 and
+    is 0 at the end of each row, ty[p] joins p to p+nx.
 
-    Also holds the constant-coefficient model solve: with Q = Qy (x) Qx and
-    eig = lam_y (+) lam_x (shape (ny, nx)), M = phi_bar*K + m_bar*V
-    satisfies M^{-1} = Q diag(1/(phi_bar*eig + m_bar)) Q^T; unit_diag is
-    diag(K), the stiffness diagonal for phi = 1.
+    Also holds the grid's exposed trace and the constant-coefficient model
+    solve: with Q = Qy (x) Qx and eig = lam_y (+) lam_x (shape (ny, nx)),
+    M = phi_bar*K + m_bar*V satisfies M^{-1} = Q diag(1/(phi_bar*eig +
+    m_bar)) Q^T; unit_diag is diag(K), the stiffness diagonal for phi = 1.
     """
+
+    diag_slot = slice(DIAG, None, 5)
 
     def __init__(self, grid: Grid2D):
         nx, ny = grid.nx, grid.ny
         n = nx * ny
-        p = np.arange(n)
-        i = p % nx
-        j = p // nx
-        has_w = i > 0
-        has_e = i < nx - 1
-        has_s = j > 0
-        has_n = j < ny - 1
-
-        deg = 1 + has_w + has_e + has_s + has_n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        row0 = indptr[:-1]
-
-        # Neighbor columns of row p sorted ascending: p-nx, p-1, p, p+1, p+nx.
-        south_pos = row0
-        west_pos = row0 + has_s
-        diag_pos = row0 + has_s + has_w
-        east_pos = diag_pos + 1
-        north_pos = indptr[1:] - 1
-
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        indices[diag_pos] = p
-        indices[south_pos[has_s]] = p[has_s] - nx
-        indices[west_pos[has_w]] = p[has_w] - 1
-        indices[east_pos[has_e]] = p[has_e] + 1
-        indices[north_pos[has_n]] = p[has_n] + nx
+        node = np.arange(n).reshape(ny, nx)
+        cols = np.repeat(node[:, :, None], 5, axis=2)  # pads: the row's own column
+        cols[1:, :, SOUTH] = node[:-1, :]
+        cols[:, 1:, WEST] = node[:, :-1]
+        cols[:, :-1, EAST] = node[:, 1:]
+        cols[:-1, :, NORTH] = node[1:, :]
 
         wx = grid.axis_weights(nx, grid.hx)
         wy = grid.axis_weights(ny, grid.hy)
 
-        # x-faces: dual length wy of the row; y-faces: wx of the column.
-        self.xlen = wy[:, None]
-        self.xpos_pq = east_pos[has_e].reshape(ny, nx - 1)
-        self.xpos_qp = west_pos[p[has_e] + 1].reshape(ny, nx - 1)
-        self.ylen = wx[None, :]
-        self.ypos_pq = north_pos[has_n].reshape(ny - 1, nx)
-        self.ypos_qp = south_pos[p[has_n] + nx].reshape(ny - 1, nx)
+        # Face lengths in flat layout.  The x-face from node p to p+1 has the
+        # dual length wy of its row; the last "face" of each row wraps to the
+        # next row and is zeroed wherever a face array is built.  The y-face
+        # from node p to p+nx has the dual length wx of its column.
+        self.xlen = np.repeat(wy, nx)
+        self.ylen = np.tile(wx, ny - 1)
+        self.hx, self.hy = grid.hx, grid.hy
 
         self.shape = (ny, nx)
         # 32-bit CSR indices: scipy keeps them as given instead of copying
-        # them down on every csr_matrix construction.  The data positions
-        # above stay native-width for cheap fancy indexing.
-        self.indptr = indptr.astype(np.int32)
-        self.indices = indices.astype(np.int32)
-        self.diag_pos = diag_pos
+        # them down on every csr_matrix construction.
+        self.indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+        self.indices = cols.ravel().astype(np.int32)
         self.volumes = grid.node_volumes()
+        self.volume_sum = self.volumes.sum()
         self.n = n
+        self.trace = grid.exposed_trace()
+        self.zeros = np.zeros(n)  # see _first_non_finite
 
         self.qx, lam_x = _cosine_basis(nx, grid.hx)
         self.qy, lam_y = _cosine_basis(ny, grid.hy)
         self.eig = lam_y[:, None] + lam_x[None, :]
-        unit_diag = np.zeros(self.shape)
-        _add_face_couplings(
-            unit_diag,
-            np.broadcast_to(self.xlen / grid.hx, (ny, nx - 1)),
-            np.broadcast_to(self.ylen / grid.hy, (ny - 1, nx)),
-        )
-        self.unit_diag = unit_diag.ravel()
+        unit_x = self.xlen / grid.hx
+        unit_x[nx - 1 :: nx] = 0.0
+        self.unit_diag = np.zeros(n)
+        _add_face_couplings(self.unit_diag, unit_x, self.ylen / grid.hy, nx)
+        self.unit_diag_sum = self.unit_diag.sum()
+        for a in (self.indptr, self.indices, self.volumes, self.zeros, self.unit_diag):
+            a.flags.writeable = False
+        self.template = sp.csr_matrix((np.zeros(5 * n), self.indices, self.indptr), shape=(n, n))
 
 
-def _add_face_couplings(diag2: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> None:
-    """Add to each node of the (ny, nx) diagonal the couplings of its faces.
+def _add_face_couplings(diag: np.ndarray, tx: np.ndarray, ty: np.ndarray, nx: int) -> None:
+    """Add to each node's diagonal entry the couplings of its faces.
 
-    The order east, west, north, south is fixed; each slice hits a node at
-    most once, so the sums equal a face-by-face scatter in that order.
+    tx (length n) couples each node to its east neighbour and is 0 at the
+    end of each row; ty (length n - nx) couples it to its north neighbour.
+    The order east, west, north, south is fixed, and each node gets one
+    term per direction (+0.0 from a row-end zero), so the sums equal a
+    face-by-face scatter in that order.
     """
-    diag2[:, :-1] += tx
-    diag2[:, 1:] += tx
-    diag2[:-1, :] += ty
-    diag2[1:, :] += ty
+    diag += tx
+    diag[1:] += tx[:-1]
+    diag[:-nx] += ty
+    diag[nx:] += ty
 
 
 # One stencil pattern per grid value, shared by every system assembled on it.
@@ -237,6 +242,28 @@ def c_update_exact(c_n, s_frozen, dt: float, p: PhysParams):
     return np.clip(p.A * c_n / denom, 0.0, c_n)
 
 
+def _first_non_finite(named, pat: _Pattern) -> str | None:
+    """Name of the first of the (name, array) pairs holding a NaN or inf, or None.
+
+    One dot per array with zeros: 0*NaN and 0*inf are NaN, so the dot is
+    finite exactly when the array is, whatever the size of its entries.
+    """
+    with np.errstate(invalid="ignore"):
+        for name, arr in named:
+            if not math.isfinite(arr @ pat.zeros):
+                return name
+    return None
+
+
+def _robin_shape_error(robin: RobinData, m: int) -> str | None:
+    """What is wrong with robin as data for an m-node trace, or None."""
+    for name in ("nu", "sbar", "flux"):
+        shape = np.shape(getattr(robin, name))
+        if shape != (m,):
+            return f"robin_data.{name} has shape {shape}, expected ({m},) for the exposed trace"
+    return None
+
+
 def assemble_s_system(
     grid: Grid2D,
     state_old: FieldState,
@@ -250,30 +277,55 @@ def assemble_s_system(
     """Build the backward-Euler system for s^{n+1}.
 
     source is an optional nodal forcing (used by the verification harness);
-    robin_data overrides the exposed-edge exchange data.  Rows are scaled
-    by dual-cell volumes, so the matrix is symmetric by construction.
+    robin_data overrides the exposed-edge exchange data and must hold one
+    value per trace node.  Rows are scaled by dual-cell volumes, so the
+    matrix is symmetric by construction.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (dt={dt})")
-    for name, arr in (("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in {name}")
-
     pat = _pattern(grid)
+    bad = _first_non_finite((("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c)), pat)
+    if bad:
+        raise ValueError(f"non-finite values in {bad}")
+    trace = pat.trace
+    if robin_data is not None:
+        problem = (
+            "robin_data given for a grid with no exposed edge" if trace is None
+            else _robin_shape_error(robin_data, len(trace))
+        )
+        if problem:
+            raise ValueError(problem)
+
     phi_new = np.asarray(porosity(c_new, p))
     phi_old = np.asarray(porosity(state_old.c, p))
 
-    phi2 = phi_new.reshape(pat.shape)
-    tx = 0.5 * (phi2[:, :-1] + phi2[:, 1:]) * pat.xlen / grid.hx
-    ty = 0.5 * (phi2[:-1, :] + phi2[1:, :]) * pat.ylen / grid.hy
+    # Each coefficient is built in place, in the operation order of its
+    # formula: tx = 0.5*(phi_p + phi_q)*xlen/hx, mass = V*phi*(1/dt + lam*c),
+    # rhs = V*(phi_old*s_old/dt) + V*source.  Face arrays are flat, as in
+    # _add_face_couplings.
+    n, nx = pat.n, pat.shape[1]
+    tx = np.empty(n)
+    tx[-1] = 0.0
+    np.add(phi_new[:-1], phi_new[1:], out=tx[:-1])
+    tx *= 0.5
+    tx *= pat.xlen
+    tx /= pat.hx
+    tx[nx - 1 :: nx] = 0.0
+    ty = np.add(phi_new[:-nx], phi_new[nx:])
+    ty *= 0.5
+    ty *= pat.ylen
+    ty /= pat.hy
 
-    mass = pat.volumes * phi_new * (1.0 / dt + p.lam * np.asarray(c_new))
-    base_diag = mass.copy()
-    rhs = pat.volumes * (phi_old * state_old.s / dt)
+    mass = np.multiply(p.lam, c_new)
+    mass += 1.0 / dt
+    mass *= pat.volumes * phi_new
+    rhs = np.multiply(phi_old, state_old.s)
+    rhs /= dt
+    rhs *= pat.volumes
     if source is not None:
-        rhs = rhs + pat.volumes * np.asarray(source)
+        rhs += pat.volumes * np.asarray(source)
 
-    trace = grid.exposed_trace()
+    diag = mass.copy()
     if trace is not None:
         if robin_data is None:
             nu = np.asarray(permeability(r_new, p), dtype=float)
@@ -282,39 +334,39 @@ def assemble_s_system(
                 sbar=np.full(len(trace), p.sbar),
                 flux=np.zeros(len(trace)),
             )
-        if np.any(robin_data.nu < 0):
+        if (robin_data.nu < 0).any():
             raise ValueError("negative boundary permeability nu(r)")
-        base_diag[trace.indices] += robin_data.nu * trace.weights
-        rhs = rhs.copy()
+        diag[trace.indices] += robin_data.nu * trace.weights
         rhs[trace.indices] += trace.weights * (
             robin_data.nu * robin_data.sbar + robin_data.flux
         )
+    _add_face_couplings(diag, tx, ty, nx)
 
-    diag = base_diag.copy()
-    _add_face_couplings(diag.reshape(pat.shape), tx, ty)
+    # One strided write per slot (see _Pattern), then the pads.
+    data = np.empty(5 * n)
+    data[DIAG::5] = diag
+    np.negative(tx, out=data[EAST::5])
+    np.negative(tx[:-1], out=data[WEST + 5 :: 5])
+    np.negative(ty, out=data[NORTH : 5 * (n - nx) : 5])
+    np.negative(ty, out=data[SOUTH + 5 * nx :: 5])
+    slots = data.reshape(*pat.shape, 5)
+    slots[:, -1, EAST] = slots[:, 0, WEST] = slots[-1, :, NORTH] = slots[0, :, SOUTH] = 0.0
 
-    data = np.empty(len(pat.indices))
-    data[pat.diag_pos] = diag
-    data[pat.xpos_pq] = -tx
-    data[pat.xpos_qp] = -tx
-    data[pat.ypos_pq] = -ty
-    data[pat.ypos_qp] = -ty
-
-    # Off-diagonal row sums equal the face sums, so the dominance margin is
-    # exactly the mass + reaction + Robin diagonal; positive for any dt.
-    margin = float(base_diag.min())
     # Face-coupling-weighted mean of phi (each face enters two diagonal
     # entries) and volume-weighted mean of the mass + reaction coefficient.
-    phi_bar = float(2.0 * (tx.sum() + ty.sum()) / pat.unit_diag.sum())
-    m_bar = float(mass.sum() / pat.volumes.sum())
+    # The x-faces are summed as the contiguous (ny, nx-1) array they form
+    # without the row-end zeros, which fixes the order of the sum.
+    tx_sum = np.ascontiguousarray(tx.reshape(pat.shape)[:, :-1]).sum()
+    phi_bar = float(2.0 * (tx_sum + ty.sum()) / pat.unit_diag_sum)
+    m_bar = float(mass.sum() / pat.volume_sum)
     return LinearSystem(
         indptr=pat.indptr,
         indices=pat.indices,
         data=data,
         rhs=rhs,
-        dominance_margin=margin,
         pattern=pat,
         model_coefs=(phi_bar, m_bar),
+        phi=(phi_old, phi_new),
     )
 
 
@@ -349,19 +401,31 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     80/450/2400 us that way against 190/500/3000 us at 65^2/129^2/257^2.
     """
     d = sys.diagonal()
-    if np.any(d <= 0):
+    # min() propagates NaN, so a diagonal holding one goes on to the
+    # elementwise test: NaN entries pass (CG then stops on a non-finite
+    # residual), any entry <= 0 does not.
+    if d.size and not d.min() > 0 and (d <= 0).any():
         raise ValueError("system diagonal is not strictly positive")
     if sys.model_coefs is None:
         return lambda r: r / d
     pat = sys.pattern
     phi_bar, m_bar = sys.model_coefs
-    inv_eig = 1.0 / (phi_bar * pat.eig + m_bar)
-    scale = np.sqrt((phi_bar * pat.unit_diag + m_bar * pat.volumes) / d).reshape(pat.shape)
+    # 1/(phi_bar*eig + m_bar) and sqrt((phi_bar*unit_diag + m_bar*V)/d), in place
+    inv_eig = phi_bar * pat.eig
+    inv_eig += m_bar
+    np.divide(1.0, inv_eig, out=inv_eig)
+    scale = phi_bar * pat.unit_diag
+    scale += m_bar * pat.volumes
+    scale /= d
+    scale = np.sqrt(scale, out=scale).reshape(pat.shape)
     qx, qy = pat.qx, pat.qy
 
     def apply(r: np.ndarray) -> np.ndarray:
         w = qy.T @ (scale * r.reshape(pat.shape)) @ qx
-        return (scale * (qy @ (w * inv_eig) @ qx.T)).ravel()
+        w *= inv_eig
+        z = qy @ w @ qx.T
+        z *= scale
+        return z.ravel()
 
     return apply
 
@@ -390,28 +454,29 @@ def cg_solve(
     a = sys.matrix()
     precond = _preconditioner(sys)
     b = sys.rhs
-    bnorm = float(np.sqrt(b @ b))
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(n), 0, 0.0
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - a @ x
-    history = [float(np.sqrt(r @ r))]
+    history = [math.sqrt(r @ r)]
     target = rel_tol * bnorm
+    step_vec = np.empty(n)  # alpha*p and alpha*Ap, before they update x and r
     # The preconditioner is applied only after the convergence test, so the
     # last residual is never preconditioned; pvec None (re)starts the
-    # search direction.
+    # search direction.  precond returns a fresh array, which pvec may own.
     pvec = None
 
     for k in range(max_iter + 1):
-        if not np.isfinite(history[-1]):
+        if not math.isfinite(history[-1]):
             raise CgBreakdown(
                 f"non-finite residual norm at iteration {k} "
                 "(NaN or inf in the matrix, right-hand side or start vector)"
             )
         if history[-1] <= target:
             true_r = b - a @ x
-            tn = float(np.sqrt(true_r @ true_r))
+            tn = math.sqrt(true_r @ true_r)
             if tn <= target:
                 return x, k, tn
             # recursive residual drifted; restart from the true one
@@ -422,7 +487,11 @@ def cg_solve(
             break
         z = precond(r)
         rz_new = float(r @ z)
-        pvec = z if pvec is None else z + (rz_new / rz) * pvec
+        if pvec is None:
+            pvec = z
+        else:  # p = z + beta*p
+            pvec *= rz_new / rz
+            pvec += z
         rz = rz_new
         ap = a @ pvec
         pap = float(pvec @ ap)
@@ -431,9 +500,9 @@ def cg_solve(
                 f"p.Ap = {pap:.3e} at iteration {k}: the matrix is not positive definite"
             )
         alpha = rz / pap
-        x += alpha * pvec
-        r -= alpha * ap
-        history.append(float(np.sqrt(r @ r)))
+        x += np.multiply(alpha, pvec, out=step_vec)
+        r -= np.multiply(alpha, ap, out=step_vec)
+        history.append(math.sqrt(r @ r))
 
     raise CgNonConvergence(history, max_iter)
 
@@ -479,7 +548,7 @@ def step(
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
     pat = _pattern(grid)
-    trace = grid.exposed_trace()
+    trace = pat.trace
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.
@@ -500,18 +569,18 @@ def step(
             r_new, xi = step_r(state.r, c_tr, s_tr, dt, p, f_ext=f_ext, psi=psi)
         sys = assemble_s_system(grid, state, c_new, r_new, dt, p)
         s_new, iters, resid = cg_solve(sys, x0=s_new, rel_tol=STEP_CG_TOL)
-        if not np.all(np.isfinite(s_new)):
+        if _first_non_finite((("s", s_new),), pat):
             raise ValueError("non-finite s after implicit solve")
         s_frozen = np.maximum(s_new, 0.0)
 
-    phi_new = np.asarray(porosity(c_new, p))
-    phi_old = np.asarray(porosity(state.c, p))
+    # the last sweep's porosities, as its system was assembled with
+    phi_old, phi_new = sys.phi
     v = pat.volumes
-    accumulation = float(np.sum(v * (phi_new * s_new - phi_old * state.s)) / dt)
-    reaction = float(p.lam * np.sum(v * phi_new * c_new * s_new))
+    accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)
+    reaction = float(p.lam * (v * phi_new * c_new * s_new).sum())
     if trace is not None:
         nu = np.asarray(permeability(r_new, p))
-        boundary = float(np.sum(trace.weights * nu * (p.sbar - s_new[trace.indices])))
+        boundary = float((trace.weights * nu * (p.sbar - s_new[trace.indices])).sum())
     else:
         boundary = 0.0
 

@@ -203,16 +203,48 @@ class ManufacturedFields:
 
     def source(self, x1, x2, t):
         """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
+        return self._source(x1, x2, t, self._c(self._factors(x1, x2)[0], t))
+
+    def _c_and_source(self, x1, x2, t):
+        """(c_field(x1, x2, t), source(x1, x2, t)), evaluating c once.
+
+        A subclass that overrides c_field or source gets both from its own
+        definitions.
+        """
+        cls = type(self)
+        if cls.c_field is not ManufacturedFields.c_field or cls.source is not ManufacturedFields.source:
+            return self.c_field(x1, x2, t), self.source(x1, x2, t)
+        c = self.c_field(x1, x2, t)
+        return c, self._source(x1, x2, t, c)
+
+    def _source(self, x1, x2, t, c):
+        """source(x1, x2, t), given c = c_field(x1, x2, t)."""
         p = self.p
         cos1, cos2, sin1_sq = self._factors(x1, x2)
         s = self._s(cos1, cos2, t)
-        c = self._c(cos1, t)
-        phi = p.A + p.B * c
-        c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
+        phi = np.multiply(p.B, c)
+        phi += p.A
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
-        return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
+        # f = B*c_t*s - phi*s + 2 pi^2*phi*s - cross + lam*phi*c*s, summed
+        # left to right; each product is built in place, in its own order
+        # (on scalars too, where *= rebinds).
+        f = np.multiply(-0.25 * p.C0, cos1)  # c_t = -0.25*C0*cos1*exp(-t)
+        f *= math.exp(-t)
+        f *= p.B
+        f *= s
+        f -= phi * s
+        term = np.multiply(2.0 * np.pi**2, phi)
+        term *= s
+        f += term
+        term = np.multiply(0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t), sin1_sq)
+        term *= cos2  # cross
+        f -= term
+        term = np.multiply(p.lam, phi)
+        term *= c
+        term *= s
+        f += term
+        return f
 
     def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
         """Exchange data on the left edge under which s_exact is exact.
@@ -292,18 +324,19 @@ def run_mms_level(
     mf = mf.at_nodes(x1, x2, trace.coords)
     s = mf.s_exact(x1, x2, 0.0)
     c_old = mf.c_field(x1, x2, 0.0)
+    r = np.zeros(len(trace))  # unused: the Robin data is overridden
     for k in range(1, n_steps + 1):
         t = k * dt
-        state_old = FieldState(t=t - dt, s=s, c=c_old, r=np.zeros(len(trace)), xi=np.zeros(len(trace)))
-        c_new = mf.c_field(x1, x2, t)
+        state_old = FieldState(t=t - dt, s=s, c=c_old, r=r, xi=r)
+        c_new, source = mf._c_and_source(x1, x2, t)
         sys = assemble_s_system(
             grid,
             state_old,
             c_new,
-            r_new=np.zeros(len(trace)),
+            r_new=r,
             dt=dt,
             p=mf.p,
-            source=mf.source(x1, x2, t),
+            source=source,
             robin_data=mf.robin_override(trace.coords, t),
         )
         s, _, _ = cg_solve(sys, x0=s, rel_tol=cg_rel_tol)

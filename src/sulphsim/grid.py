@@ -29,6 +29,9 @@ class Edge(Enum):
     TOP = "top"
 
 
+_EDGE_CODES = {e: k for k, e in enumerate(Edge)}
+
+
 class EdgeTag(Enum):
     EXPOSED = "exposed"
     ISOLATED = "isolated"
@@ -53,6 +56,17 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3 (got nx={self.nx}, ny={self.ny})")
+        edge = self.exposed_edge
+        if edge is not None and not isinstance(edge, Edge):
+            raise ValueError(f"exposed_edge must be an Edge or None (got {edge!r})")
+        # Hashed once, from ints only: the generated hash would call the
+        # pure-Python Enum.__hash__ on every cache lookup, and an int hash
+        # stays valid in a process that unpickles the grid.
+        code = -1 if edge is None else _EDGE_CODES[edge]
+        object.__setattr__(self, "_hash", hash((self.nx, self.ny, code)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def hx(self) -> float:

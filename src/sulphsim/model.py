@@ -145,12 +145,15 @@ def porosity(c, p: PhysParams):
     bound violation in the caller, not a recoverable condition.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(c < -C_RANGE_TOL) or np.any(c > p.C0 + C_RANGE_TOL):
-        bad_lo = float(c.min())
-        bad_hi = float(c.max())
+    lo, hi = -C_RANGE_TOL, p.C0 + C_RANGE_TOL
+    # min/max decide a clean array in two passes.  They propagate NaN, so
+    # an array holding one goes on to the elementwise test, under which a
+    # NaN entry passes (and yields a NaN porosity) but any other entry out
+    # of range still fails.
+    if c.size and not (c.min() >= lo and c.max() <= hi) and (np.any(c < lo) or np.any(c > hi)):
         raise ValueError(
             f"calcite density outside [0, C0={p.C0}] beyond {C_RANGE_TOL} "
-            f"(range [{bad_lo}, {bad_hi}])"
+            f"(range [{float(c.min())}, {float(c.max())}])"
         )
     return p.A + p.B * c
 

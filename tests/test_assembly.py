@@ -9,10 +9,11 @@ genuine two-route check.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sulphsim.bulk import FieldState, RobinData, assemble_s_system
 from sulphsim.grid import Edge, EdgeTag, Grid2D, build_grid
-from sulphsim.model import PhysParams, permeability
+from sulphsim.model import PhysParams, permeability, porosity
 
 
 def dense_oracle(grid, c_new, c_old, s_old, dt, p, source=None, robin=None):
@@ -96,7 +97,7 @@ class TestAgainstDenseOracle:
         s_old = np.linspace(0, 1, 9)
         sys = assemble_s_system(grid, make_state(grid, c, s_old), c, np.zeros(0), 1.0, p)
         amat, b = dense_oracle(grid, c, c, s_old, 1.0, p)
-        assert np.allclose(sys.dense(), amat, atol=1e-13)
+        assert np.allclose(sys.matrix().toarray(), amat, atol=1e-13)
         assert np.allclose(sys.rhs, b, atol=1e-13)
 
     def test_variable_coefficients_with_robin(self):
@@ -117,7 +118,7 @@ class TestAgainstDenseOracle:
         sys = assemble_s_system(grid, make_state(grid, c_old, s_old), c_new, r, dt, p)
         amat, b = dense_oracle(grid, c_new, c_old, s_old, dt, p, robin=robin)
         scale = np.abs(amat).max()
-        assert np.allclose(sys.dense(), amat, atol=1e-13 * scale)
+        assert np.allclose(sys.matrix().toarray(), amat, atol=1e-13 * scale)
         assert np.allclose(sys.rhs, b, atol=1e-13 * max(1.0, np.abs(b).max()))
 
     def test_with_source_and_flux_override(self):
@@ -139,7 +140,7 @@ class TestAgainstDenseOracle:
             source=src, robin_data=robin,
         )
         amat, b = dense_oracle(grid, c, c, s_old, dt, p, source=src, robin=robin)
-        assert np.allclose(sys.dense(), amat, atol=1e-12)
+        assert np.allclose(sys.matrix().toarray(), amat, atol=1e-12)
         assert np.allclose(sys.rhs, b, atol=1e-12)
 
 
@@ -163,7 +164,7 @@ class TestAgainstDenseOracle:
                 robin_data=robin,
             )
             amat, b = dense_oracle(grid, c, c, s_old, 0.01, p, robin=robin)
-            assert np.allclose(sys.dense(), amat, atol=1e-12)
+            assert np.allclose(sys.matrix().toarray(), amat, atol=1e-12)
             assert np.allclose(sys.rhs, b, atol=1e-12)
 
 
@@ -200,20 +201,27 @@ class TestStructure:
         s_old = rng.uniform(0, 1, grid.n_nodes)
         r = rng.uniform(0, 2, 6)
         sys = assemble_s_system(grid, make_state(grid, c, s_old), c, r, 1e-3, p)
-        a = sys.dense()
+        a = sys.matrix().toarray()
         assert np.array_equal(a, a.T)  # symmetric to the bit, by construction
 
     def test_diagonal_dominance_reported(self):
+        # off-diagonal row sums equal the face sums, so the dominance margin
+        # is the mass + reaction + Robin diagonal: positive for any dt
         grid = build_grid(9, 9)
         p = PhysParams()
+        dt = 1e-4
         c = np.full(grid.n_nodes, 0.5)
         r = np.full(9, 0.3)
-        sys = assemble_s_system(grid, make_state(grid, c, np.zeros(grid.n_nodes)), c, r, 1e-4, p)
-        assert sys.dominance_margin > 0
-        a = sys.dense()
+        sys = assemble_s_system(grid, make_state(grid, c, np.zeros(grid.n_nodes)), c, r, dt, p)
+        base = grid.node_volumes() * porosity(c, p) * (1.0 / dt + p.lam * c)
+        trace = grid.exposed_trace()
+        base[trace.indices] += permeability(r, p) * trace.weights
+        margin = base.min()
+        assert margin > 0
+        a = sys.matrix().toarray()
         diag = np.diag(a)
         off = np.abs(a).sum(axis=1) - np.abs(diag)
-        assert np.all(diag - off >= sys.dominance_margin - 1e-12)
+        assert np.all(diag - off >= margin - 1e-12)
 
     def test_rejects_non_finite(self):
         grid = build_grid(3, 3)
@@ -224,6 +232,45 @@ class TestStructure:
         with pytest.raises(ValueError):
             assemble_s_system(grid, make_state(grid, c, c), bad, np.zeros(3), 1e-3, p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c_new", "s_old", "c_old"])
+    def test_non_finite_message_names_the_array(self, name, value):
+        grid = build_grid(3, 3)
+        arrays = {key: np.full(9, 0.5) for key in ("c_new", "s_old", "c_old")}
+        arrays[name][4] = value
+        state = make_state(grid, arrays["c_old"], arrays["s_old"])
+        with pytest.raises(ValueError, match=f"^non-finite values in {name}$"):
+            assemble_s_system(grid, state, arrays["c_new"], np.zeros(3), 1e-3, PhysParams())
+
+    def test_finite_values_of_any_size_pass_the_scan(self):
+        # s_old*s_old would overflow; the scan must not take that for inf
+        grid = build_grid(3, 3)
+        c = np.full(9, 0.5)
+        sys = assemble_s_system(grid, make_state(grid, c, np.full(9, 1e300)), c, np.zeros(3), 1e-3, PhysParams())
+        assert np.all(np.isfinite(sys.rhs))
+
+    def test_rejects_robin_data_of_wrong_length(self):
+        # a length-1 array would otherwise broadcast over the whole trace
+        grid = build_grid(5, 5)
+        c = np.full(25, 0.5)
+        for name in ("nu", "sbar", "flux"):
+            fields = {"nu": np.full(5, 0.5), "sbar": np.ones(5), "flux": np.zeros(5)}
+            fields[name] = fields[name][:1]
+            with pytest.raises(ValueError, match=rf"robin_data\.{name} has shape \(1,\), expected \(5,\)"):
+                assemble_s_system(
+                    grid, make_state(grid, c, c), c, np.zeros(5), 1e-3, PhysParams(),
+                    robin_data=RobinData(**fields),
+                )
+
+    def test_rejects_robin_data_without_exposed_edge(self):
+        grid = build_grid(5, 5, isolated_tags())
+        c = np.full(25, 0.5)
+        robin = RobinData(nu=np.full(5, 0.5), sbar=np.ones(5), flux=np.zeros(5))
+        with pytest.raises(ValueError, match="no exposed edge"):
+            assemble_s_system(
+                grid, make_state(grid, c, c), c, np.zeros(0), 1e-3, PhysParams(), robin_data=robin
+            )
+
     def test_rejects_negative_permeability(self):
         grid = build_grid(3, 3)
         p = PhysParams(nu0=0.5, nul=0.0, rl=1.0, R0=4.0)
@@ -231,3 +278,43 @@ class TestStructure:
         r = np.full(3, 3.0)  # extrapolated nu < 0
         with pytest.raises(ValueError):
             assemble_s_system(grid, make_state(grid, c, c), c, r, 1e-3, p)
+
+
+class TestFiveSlotRows:
+    """Every row stores S, W, D, E, N; a missing neighbour is a 0 on the row's own column."""
+
+    def system(self):
+        grid = build_grid(6, 5)
+        rng = np.random.default_rng(12)
+        c = rng.uniform(0.1, 0.9, grid.n_nodes)
+        s_old = rng.uniform(0, 1, grid.n_nodes)
+        r = rng.uniform(0, 1, 5)
+        return grid, assemble_s_system(grid, make_state(grid, c, s_old), c, r, 1e-3, PhysParams())
+
+    def test_layout(self):
+        grid, sys = self.system()
+        nx = grid.nx
+        assert np.array_equal(sys.indptr, 5 * np.arange(grid.n_nodes + 1))
+        cols = sys.indices.reshape(grid.ny, nx, 5)
+        vals = sys.data.reshape(grid.ny, nx, 5)
+        for j in range(grid.ny):
+            for i in range(nx):
+                p = j * nx + i
+                want = [p - nx if j > 0 else p, p - 1 if i > 0 else p, p,
+                        p + 1 if i < nx - 1 else p, p + nx if j < grid.ny - 1 else p]
+                assert list(cols[j, i]) == want
+                for k, col in enumerate(want):
+                    if k != 2 and col == p:  # a pad
+                        assert vals[j, i, k] == 0.0 and not np.signbit(vals[j, i, k])
+        assert np.array_equal(sys.diagonal(), np.diag(sys.matrix().toarray()))
+
+    def test_products_equal_the_compressed_matrix_bit_for_bit(self):
+        # the pads add +0.0 to a row's sum; the real entries come in the
+        # same ascending-column order as in the matrix without them
+        grid, sys = self.system()
+        compressed = sp.csr_matrix(sys.matrix().toarray())
+        assert compressed.nnz == sys.data.size - 2 * (grid.nx + grid.ny)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = rng.standard_normal(grid.n_nodes)
+            assert (sys.matrix() @ x).tobytes() == (compressed @ x).tobytes()

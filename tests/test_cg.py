@@ -3,7 +3,16 @@ import pickle
 import numpy as np
 import pytest
 
-from sulphsim.bulk import CgBreakdown, CgNonConvergence, FieldState, LinearSystem, cg_solve, step
+from sulphsim.bulk import (
+    CgBreakdown,
+    CgNonConvergence,
+    FieldState,
+    LinearSystem,
+    RobinData,
+    assemble_s_system,
+    cg_solve,
+    step,
+)
 from sulphsim.grid import build_grid
 from sulphsim.model import PhysParams
 
@@ -14,7 +23,7 @@ def csr_from_dense(a, b):
     indptr[1:] = np.cumsum([len(nz) for nz in nz_per_row])
     indices = np.concatenate(nz_per_row)
     data = np.concatenate([a[i, nz] for i, nz in enumerate(nz_per_row)])
-    return LinearSystem(indptr, indices, data, np.asarray(b, dtype=float), 0.0)
+    return LinearSystem(indptr, indices, data, np.asarray(b, dtype=float))
 
 
 class TestBasics:
@@ -132,3 +141,25 @@ class TestFailFast:
         st = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
         with pytest.raises(CgBreakdown, match="iteration 0"):
             step(st, 1e-3, grid, p)
+
+    def test_nan_robin_permeability_reaches_cg_breakdown(self):
+        # a NaN diagonal entry passes the positive-diagonal check, as NaN
+        # fails d <= 0, and CG stops on its first residual
+        grid = build_grid(9, 9)
+        n = grid.n_nodes
+        trace = grid.exposed_trace()
+        m = len(trace)
+        nu = np.full(m, 0.5)
+        nu[3] = np.nan
+        st = FieldState(0.0, np.full(n, 0.2), np.full(n, 0.5), np.zeros(m), np.zeros(m))
+        sys = assemble_s_system(
+            grid, st, st.c, st.r, 1e-3, PhysParams(),
+            robin_data=RobinData(nu=nu, sbar=np.ones(m), flux=np.zeros(m)),
+        )
+        with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
+            cg_solve(sys, x0=st.s)
+
+    def test_nan_diagonal_does_not_hide_a_nonpositive_entry(self):
+        a = np.array([[np.nan, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="not strictly positive"):
+            cg_solve(LinearSystem(np.array([0, 1, 2]), np.array([0, 1]), np.diag(a), np.ones(2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestGridValue:
         assert _pattern(a) is _pattern(b)
         assert a.exposed_trace() is b.exposed_trace()
         assert _pattern(a) is not _pattern(Grid2D(9, 7, Edge.LEFT))
+
+    def test_hash_survives_pickling(self):
+        # the hash is computed once, from ints, so it holds in any process
+        g = Grid2D(9, 7, Edge.TOP)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert _pattern(back) is _pattern(g)
+
+    def test_rejects_an_edge_given_by_name(self):
+        with pytest.raises(ValueError, match="exposed_edge must be an Edge or None"):
+            Grid2D(5, 5, "left")
 
     def test_trace_arrays_read_only(self):
         trace = build_grid(5, 4).exposed_trace()

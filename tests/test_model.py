@@ -37,6 +37,22 @@ class TestPorosity:
         with pytest.raises(ValueError):
             porosity(p.C0 + 1e-6, p)
 
+    def test_empty_array_gives_empty_porosity(self):
+        phi = porosity(np.zeros(0), params())
+        assert phi.shape == (0,)
+
+    def test_nan_entry_passes_the_range_check(self):
+        # NaN fails both comparisons, so it is not "out of range"
+        p = params()
+        phi = porosity(np.array([0.5, np.nan]), p)
+        assert phi[0] == p.A + p.B * 0.5 and np.isnan(phi[1])
+
+    def test_nan_entry_does_not_hide_an_out_of_range_one(self):
+        p = params()
+        for bad in (-1e-6, p.C0 + 1e-6):
+            with pytest.raises(ValueError, match="outside"):
+                porosity(np.array([np.nan, bad, 0.5]), p)
+
     def test_tolerates_roundoff_overshoot(self):
         p = params()
         porosity(p.C0 + 0.9e-12, p)

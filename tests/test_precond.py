@@ -116,7 +116,7 @@ class TestJacobiBranch:
     def test_hand_built_system_is_jacobi(self):
         a = np.array([[4.0, -1.0], [-1.0, 3.0]])
         sys = bulk.LinearSystem(
-            np.array([0, 2, 4]), np.array([0, 1, 0, 1]), a.ravel(), np.array([1.0, 2.0]), 0.0
+            np.array([0, 2, 4]), np.array([0, 1, 0, 1]), a.ravel(), np.array([1.0, 2.0])
         )
         r = np.array([2.0, 6.0])
         assert np.array_equal(_preconditioner(sys)(r), r / np.diag(a))
