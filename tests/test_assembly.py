@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sulphsim.bulk import FieldState, RobinData, assemble_s_system
+import sulphsim.bulk as bulk
+from sulphsim.bulk import FieldState, RobinData, assemble_s_system, cg_solve
 from sulphsim.grid import Edge, EdgeTag, Grid2D, build_grid
 from sulphsim.model import PhysParams, permeability, porosity
 
@@ -318,3 +319,15 @@ class TestFiveSlotRows:
         for _ in range(5):
             x = rng.standard_normal(grid.n_nodes)
             assert (sys.matrix() @ x).tobytes() == (compressed @ x).tobytes()
+
+    def test_direct_kernel_matches_the_matrix_product(self, monkeypatch):
+        # cg_solve calls scipy's CSR kernel itself (a private module); pin
+        # it to the public product, and the solve to the fallback through it
+        grid, sys = self.system()
+        x = np.random.default_rng(5).standard_normal(grid.n_nodes)
+        assert bulk._csr_matvec is not None
+        assert bulk._matvec(sys)(x).tobytes() == (sys.matrix() @ x).tobytes()
+        direct = cg_solve(sys, rel_tol=1e-12)
+        monkeypatch.setattr(bulk, "_csr_matvec", None)
+        fallback = cg_solve(sys, rel_tol=1e-12)
+        assert direct[0].tobytes() == fallback[0].tobytes() and direct[1:] == fallback[1:]
