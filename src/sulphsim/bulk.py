@@ -38,11 +38,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-
-try:  # scipy's CSR product kernel, the one a @ x ends in
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # a scipy that moved it: every product goes through a @ x
-    _csr_matvec = None
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec  # where a @ x ends
 
 from .grid import GRID_CACHE_SIZE, Grid2D
 from .model import PhysParams, PSI_ZERO, PsiPolynomial, porosity, permeability
@@ -433,15 +429,20 @@ def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     For a grid system, scipy's CSR kernel is called directly: it sums each
     row in storage order, as sys.matrix() @ x does, but skips the csr_matrix
     construction and the operator dispatch, about 25 us per solve at any
-    grid size.
+    grid size.  The kernel does not check sizes, so this does.
     """
-    if sys.pattern is None or _csr_matvec is None:
+    pat = sys.pattern
+    if pat is None:
         return sys.matrix().__matmul__
-    n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
+    n, data = sys.n, sys.data
+    if n != pat.n or data.shape != pat.indices.shape or data.dtype != np.float64:
+        raise ValueError(f"system arrays do not fit the stencil pattern of {pat.n} nodes")
 
     def matvec(x: np.ndarray) -> np.ndarray:
+        if x.shape != (n,):
+            raise ValueError(f"vector of shape {x.shape} for a system of {n} rows")
         y = np.zeros(n)
-        _csr_matvec(n, n, indptr, indices, data, x, y)
+        _csr_matvec(n, n, pat.indptr, pat.indices, data, x, y)
         return y
 
     return matvec
