@@ -173,8 +173,8 @@ class _Pattern:
         self.hx, self.hy = grid.hx, grid.hy
 
         self.shape = (ny, nx)
-        # 32-bit CSR indices: scipy keeps them as given instead of copying
-        # them down on every csr_matrix construction.
+        # 32-bit CSR indices, which csr_matrix keeps as given; the kernel
+        # _matvec calls takes indptr and indices of one dtype.
         self.indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
         self.indices = cols.ravel().astype(np.int32)
         self.volumes = grid.node_volumes()

@@ -222,29 +222,12 @@ class ManufacturedFields:
         p = self.p
         cos1, cos2, sin1_sq = self._factors(x1, x2)
         s = self._s(cos1, cos2, t)
-        phi = np.multiply(p.B, c)
-        phi += p.A
+        phi = p.A + p.B * c
+        c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        # f = B*c_t*s - phi*s + 2 pi^2*phi*s - cross + lam*phi*c*s, summed
-        # left to right; each product is built in place, in its own order
-        # (on scalars too, where *= rebinds).
-        f = np.multiply(-0.25 * p.C0, cos1)  # c_t = -0.25*C0*cos1*exp(-t)
-        f *= math.exp(-t)
-        f *= p.B
-        f *= s
-        f -= phi * s
-        term = np.multiply(2.0 * np.pi**2, phi)
-        term *= s
-        f += term
-        term = np.multiply(0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t), sin1_sq)
-        term *= cos2  # cross
-        f -= term
-        term = np.multiply(p.lam, phi)
-        term *= c
-        term *= s
-        f += term
-        return f
+        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
+        return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
     def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
         """Exchange data on the left edge under which s_exact is exact.

@@ -11,7 +11,7 @@ and says why in its description.
 """
 
 import os
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -57,7 +57,7 @@ if __name__ == "__main__":
     os.environ["SULPHSIM_THREADS"] = "1"
     diagnostics.MMS_T_END = MMS_T_END
     (DATA / "mms_spatial_t0005.csv").write_text(mms_spatial_csv())
-    out = Path(sys.argv[1] if len(sys.argv) > 1 else "pinned_weibull_out")
-    weibull_run(out)
-    for name in WEIBULL_FILES:
-        (DATA / f"weibull33_{name}").write_bytes((out / name).read_bytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        weibull_run(Path(tmp))
+        for name in WEIBULL_FILES:
+            (DATA / f"weibull33_{name}").write_bytes((Path(tmp) / name).read_bytes())
