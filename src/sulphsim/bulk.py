@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec  # where a @ x ends
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec  # private; see _matvec
 
 from .grid import GRID_CACHE_SIZE, Grid2D
 from .model import PhysParams, PSI_ZERO, PsiPolynomial, porosity, permeability
