@@ -86,8 +86,7 @@ class LinearSystem:
     built by hand, without them, is preconditioned with Jacobi.  A grid
     system stores five entries per row (see _Pattern): the stencil's
     nonzeros plus an explicit 0 for each neighbour a boundary row lacks,
-    placed on the row's own column; phi = (phi(c_old), phi(c_new)) are the
-    porosities it was assembled with.
+    placed on the row's own column.
     """
 
     indptr: np.ndarray
@@ -96,14 +95,21 @@ class LinearSystem:
     rhs: np.ndarray
     pattern: _Pattern | None = None
     model_coefs: tuple[float, float] | None = None
-    phi: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return len(self.rhs)
 
     def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        """The matrix as a canonical csr_matrix that owns copies of the arrays.
+
+        Duplicate entries are summed and each row's columns ascend, so a
+        grid system's pads merge into the diagonal (0.0 + d = d) and scipy
+        routines that canonicalise in place, such as spsolve, accept it.
+        """
+        a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
+        a.sum_duplicates()
+        return a
 
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal; for a grid system a strided view into data."""
@@ -173,8 +179,6 @@ class _Pattern:
         self.hx, self.hy = grid.hx, grid.hy
 
         self.shape = (ny, nx)
-        # 32-bit CSR indices, which csr_matrix keeps as given; the kernel
-        # _matvec calls takes indptr and indices of one dtype.
         self.indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
         self.indices = cols.ravel().astype(np.int32)
         self.volumes = grid.node_volumes()
@@ -359,7 +363,6 @@ def assemble_s_system(
         rhs=rhs,
         pattern=pat,
         model_coefs=(phi_bar, m_bar),
-        phi=(phi_old, phi_new),
     )
 
 
@@ -426,23 +429,27 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
 def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Return x -> A x for sys, as a new array.
 
-    For a grid system, scipy's CSR kernel is called directly: it sums each
-    row in storage order, as sys.matrix() @ x does, but skips the csr_matrix
-    construction and the operator dispatch, about 25 us per solve at any
-    grid size.  The kernel does not check sizes, so this does.
+    Calls scipy's CSR kernel directly: it sums each row in storage order,
+    as csr_matrix @ x does, but skips the csr_matrix construction and the
+    operator dispatch, about 25 us per solve at any grid size.  The kernel
+    checks no sizes, so this makes the checks of csr_matrix's own format
+    check, and checks each vector's shape.
     """
-    pat = sys.pattern
-    if pat is None:
-        return sys.matrix().__matmul__
-    n, data = sys.n, sys.data
-    if n != pat.n or data.shape != pat.indices.shape or data.dtype != np.float64:
-        raise ValueError(f"system arrays do not fit the stencil pattern of {pat.n} nodes")
+    n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
+    if (
+        indptr.shape != (n + 1,)
+        or indices.shape != data.shape
+        or data.dtype != np.float64
+        or indptr[0] != 0
+        or indptr[-1] > data.size
+    ):
+        raise ValueError(f"system arrays do not form a float64 CSR matrix of {n} rows")
 
     def matvec(x: np.ndarray) -> np.ndarray:
         if x.shape != (n,):
             raise ValueError(f"vector of shape {x.shape} for a system of {n} rows")
         y = np.zeros(n)
-        _csr_matvec(n, n, pat.indptr, pat.indices, data, x, y)
+        _csr_matvec(n, n, indptr, indices, data, x, y)
         return y
 
     return matvec
@@ -591,8 +598,8 @@ def step(
             raise ValueError("non-finite s after implicit solve")
         s_frozen = np.maximum(s_new, 0.0)
 
-    # the last sweep's porosities, as its system was assembled with
-    phi_old, phi_new = sys.phi
+    phi_new = np.asarray(porosity(c_new, p))
+    phi_old = np.asarray(porosity(state.c, p))
     v = pat.volumes
     accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)
     reaction = float(p.lam * (v * phi_new * c_new * s_new).sum())

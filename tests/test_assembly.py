@@ -10,6 +10,7 @@ genuine two-route check.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import sulphsim.bulk as bulk
 from sulphsim.bulk import FieldState, RobinData, assemble_s_system, cg_solve
@@ -315,10 +316,25 @@ class TestFiveSlotRows:
         grid, sys = self.system()
         compressed = sp.csr_matrix(sys.matrix().toarray())
         assert compressed.nnz == sys.data.size - 2 * (grid.nx + grid.ny)
+        matvec = bulk._matvec(sys)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal(grid.n_nodes)
-            assert (sys.matrix() @ x).tobytes() == (compressed @ x).tobytes()
+            assert matvec(x).tobytes() == (compressed @ x).tobytes()
+
+    def test_matrix_is_canonical_and_owns_its_arrays(self):
+        # the pads merge into the diagonal, so in-place canonicalisation
+        # (spsolve calls sum_duplicates) has nothing to do and cannot
+        # touch the pattern's shared, read-only arrays
+        grid, sys = self.system()
+        a = sys.matrix()
+        assert a.has_canonical_format
+        assert a.nnz == sys.data.size - 2 * (grid.nx + grid.ny)
+        assert np.array_equal(a.diagonal(), sys.diagonal())
+        assert not np.shares_memory(a.indices, sys.indices)
+        assert not np.shares_memory(a.data, sys.data)
+        x, _, _ = cg_solve(sys, rel_tol=1e-12)
+        assert np.allclose(spla.spsolve(sys.matrix(), sys.rhs), x, rtol=1e-10, atol=0)
 
     def test_direct_kernel_matches_the_matrix_product(self):
         # cg_solve calls scipy's CSR kernel itself (a private module); pin it
@@ -331,6 +347,12 @@ class TestFiveSlotRows:
             matvec(x[:-1])
         with pytest.raises(ValueError, match="vector of shape"):
             cg_solve(sys, x0=x[:-1])
-        sys.data = sys.data[:-5]
-        with pytest.raises(ValueError, match="do not fit the stencil pattern"):
+        full = sys.data
+        for bad in (full[:-5], full.astype(np.float32)):
+            sys.data = bad
+            with pytest.raises(ValueError, match="do not form a float64 CSR matrix"):
+                bulk._matvec(sys)
+        sys.data = full
+        sys.rhs = sys.rhs[:-1]
+        with pytest.raises(ValueError, match="do not form a float64 CSR matrix"):
             bulk._matvec(sys)
