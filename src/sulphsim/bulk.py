@@ -232,11 +232,25 @@ def c_update_exact(c_n, s_frozen, dt: float, p: PhysParams):
         raise ValueError(f"dt must be > 0 (dt={dt})")
     c_n = np.asarray(c_n, dtype=float)
     s_frozen = np.asarray(s_frozen, dtype=float)
-    if np.any(s_frozen < 0):
+    # min() decides a clean array in one pass.  It propagates NaN, so an
+    # array holding one goes on to the elementwise test, under which a NaN
+    # entry passes but a negative entry still fails.
+    if s_frozen.size and not s_frozen.min() >= 0 and np.any(s_frozen < 0):
         raise ValueError("c_update_exact requires s_frozen >= 0")
-    x = np.minimum(p.lam * p.A * s_frozen * dt, 700.0)  # exp overflow guard
-    denom = (p.A + p.B * c_n) * np.exp(x) - p.B * c_n
-    return np.clip(p.A * c_n / denom, 0.0, c_n)
+    # The closed form in place in x, each operation as written above; the
+    # clip is its two halves, which numpy's clip matches bit for bit.
+    bc = p.B * c_n
+    x = np.empty(np.broadcast(c_n, s_frozen).shape)
+    np.multiply(p.lam * p.A, s_frozen, out=x)
+    x *= dt
+    np.minimum(x, 700.0, out=x)  # exp overflow guard
+    np.exp(x, out=x)
+    x *= p.A + bc
+    x -= bc
+    np.divide(p.A * c_n, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, c_n, out=x)
+    return x if x.ndim else x[()]
 
 
 def _first_non_finite(named, pat: _Pattern) -> str | None:

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from sulphsim import diagnostics
 from sulphsim.bulk import BalanceTerms, CgBreakdown, CgNonConvergence, FieldState, assemble_s_system, step
@@ -199,6 +200,21 @@ class TestMmsMachinery:
         for n in (9, 17):
             e2, em = run_mms_level(mf, n, dt=1e-3, t_end=1e-2)
             assert em < 1e-11
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_warm_started_cg_matches_direct_solves(self, n, monkeypatch):
+        # Each CG solve starts from the extrapolation 2*s^n - s^(n-1); the
+        # error norms after 300 steps must not move beyond 1e-12 from those
+        # of the same level solved directly.
+        mf = ManufacturedFields(PhysParams())
+        t_end = 300 * diagnostics.SPATIAL_DT
+        warm = run_mms_level(mf, n, diagnostics.SPATIAL_DT, t_end)
+        monkeypatch.setattr(
+            diagnostics, "cg_solve", lambda sys, **_: (spsolve(sys.matrix(), sys.rhs), 0, 0.0)
+        )
+        direct = run_mms_level(mf, n, diagnostics.SPATIAL_DT, t_end)
+        assert abs(warm[0] - direct[0]) <= 1e-12
+        assert abs(warm[1] - direct[1]) <= 1e-12
 
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
         from sulphsim.bulk import RobinData

@@ -5,12 +5,14 @@ current code with recorded outputs, so a change that claims to keep the
 floating-point arithmetic of the s-solve is checked across versions.  A
 change that means to alter the arithmetic regenerates the files with
 
-    PYTHONPATH=src python tests/test_pinned_bytes.py
+    PYTHONPATH=src python tests/test_pinned_bytes.py [mms|weibull]
 
-and says why in its description.
+(the named set alone, or both when no set is named) and says why in its
+description.
 """
 
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -53,11 +55,24 @@ def test_weibull_run_matches_pinned_bytes(name, tmp_path_factory):
     assert (out / name).read_bytes() == (DATA / f"weibull33_{name}").read_bytes()
 
 
-if __name__ == "__main__":
-    os.environ["SULPHSIM_THREADS"] = "1"
+def regenerate_mms() -> None:
     diagnostics.MMS_T_END = MMS_T_END
     (DATA / "mms_spatial_t0005.csv").write_text(mms_spatial_csv())
+
+
+def regenerate_weibull() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         weibull_run(Path(tmp))
         for name in WEIBULL_FILES:
             (DATA / f"weibull33_{name}").write_bytes((Path(tmp) / name).read_bytes())
+
+
+if __name__ == "__main__":
+    REGENERATE = {"mms": regenerate_mms, "weibull": regenerate_weibull}
+    names = sys.argv[1:] or list(REGENERATE)
+    unknown = [n for n in names if n not in REGENERATE]
+    if unknown:
+        sys.exit(f"usage: {sys.argv[0]} [mms|weibull]  (unknown set: {', '.join(unknown)})")
+    os.environ["SULPHSIM_THREADS"] = "1"
+    for name in names:
+        REGENERATE[name]()
