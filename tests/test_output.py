@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 
 from sulphsim.bulk import FieldState
 from sulphsim.grid import ProfileLine, build_grid
 from sulphsim.output import (
+    FLOAT,
     INVARIANT_HEADER,
     PROFILE_HEADER,
     fmt,
@@ -28,6 +31,45 @@ class TestFloatFormat:
         for v in rng.standard_normal(200):
             assert float(fmt(v)) == v
         assert float(fmt(1.0 / 3.0)) == 1.0 / 3.0
+
+
+# Floats whose text is easy to get wrong: signed zeros, nan, infinities,
+# subnormals, the extremes, and values at the switch to exponent notation.
+SPECIAL = [
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+    5e-324, -5e-324, 1.5e-310, sys.float_info.min, sys.float_info.max,
+    -sys.float_info.max, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0, 1e-5, 1e-4,
+]
+
+
+class TestBlockFormat:
+    """The writers format a block with one % over a tuple; the text must be fmt()'s."""
+
+    def test_printf_form_matches_fmt(self):
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2**63, 50_000, dtype=np.int64).view(np.float64)
+        values = rng.uniform(-1.0, 1.0, 50_000).tolist() + bits.tolist() + SPECIAL
+        block = (f"{FLOAT}\n" * len(values)) % tuple(values)
+        assert block == "".join(fmt(v) + "\n" for v in values)
+        negative = (-bits).tolist()  # the sign bit, which the draw above never sets
+        assert (f"{FLOAT}\n" * len(negative)) % tuple(negative) == "".join(
+            fmt(v) + "\n" for v in negative
+        )
+
+    def test_vtk_values_are_fmt_text(self, tmp_path):
+        grid = build_grid(6, 3)
+        values = np.array(SPECIAL)
+        path = tmp_path / "special.vtk"
+        write_vtk(str(path), grid, {"v": values}, "t")
+        lines = path.read_text().split("\n")
+        assert lines[10 : 10 + len(values)] == [fmt(float(v)) for v in values]
+
+    def test_profile_rows_are_fmt_text(self, tmp_path):
+        rows = [(0.5, 0.0, v, "s", v) for v in SPECIAL]
+        path = tmp_path / "p.csv"
+        write_profiles_csv(str(path), rows)
+        got = sorted(path.read_text().split("\n")[1:-1])
+        assert got == sorted(f"{fmt(0.5)},{fmt(0.0)},{fmt(v)},s,{fmt(v)}" for v in SPECIAL)
 
 
 class TestProfileCsv:
