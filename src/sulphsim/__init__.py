@@ -9,7 +9,6 @@ from .model import (
     ConstraintMode,
     NuLaw,
     PhysParams,
-    PsiPolynomial,
     permeability,
     porosity,
     project_box,
@@ -31,7 +30,6 @@ __all__ = [
     "NuLaw",
     "PhysParams",
     "ProfileLine",
-    "PsiPolynomial",
     "RugosityInit",
     "RugosityInitMode",
     "RunConfig",

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec  # private; see _matvec
 
 from .grid import GRID_CACHE_SIZE, Grid2D
-from .model import PhysParams, PSI_ZERO, PsiPolynomial, porosity, permeability
+from .model import PhysParams, porosity, permeability
 from .surface import step_r
 
 # CG tolerance used inside step(): tighter than the cg_solve default so the
@@ -306,14 +306,44 @@ def assemble_s_system(
         )
         if problem:
             raise ValueError(problem)
+    _, rhs = _old_state_terms(pat, state_old, dt, p)
+    return _assemble(pat, rhs, c_new, r_new, dt, p, source, robin_data)[0]
 
-    phi_new = np.asarray(porosity(c_new, p))
+
+def _old_state_terms(pat: _Pattern, state_old: FieldState, dt: float, p: PhysParams):
+    """phi(c^n) and V*phi(c^n)*s^n/dt, the part of the s-system the old state fixes.
+
+    step() computes them once for all its Picard sweeps.  The right-hand
+    side is built in place, in the operation order of its formula.
+    """
     phi_old = np.asarray(porosity(state_old.c, p))
+    rhs = np.multiply(phi_old, state_old.s)
+    rhs /= dt
+    rhs *= pat.volumes
+    return phi_old, rhs
+
+
+def _assemble(
+    pat: _Pattern,
+    rhs: np.ndarray,
+    c_new: np.ndarray,
+    r_new: np.ndarray,
+    dt: float,
+    p: PhysParams,
+    source: np.ndarray | None = None,
+    robin_data: RobinData | None = None,
+) -> tuple[LinearSystem, np.ndarray]:
+    """The s-system on pat's grid, and phi(c_new), from checked inputs.
+
+    rhs is the old-state part of the right-hand side (see
+    _old_state_terms); the system takes it over and adds the source and
+    exchange terms in place.
+    """
+    phi_new = np.asarray(porosity(c_new, p))
 
     # Each coefficient is built in place, in the operation order of its
     # formula: tx = 0.5*(phi_p + phi_q)*xlen/hx, mass = V*phi*(1/dt + lam*c),
-    # rhs = V*(phi_old*s_old/dt) + V*source.  Face arrays are flat, as in
-    # _add_face_couplings.
+    # rhs += V*source.  Face arrays are flat, as in _add_face_couplings.
     n, nx = pat.n, pat.shape[1]
     tx = np.empty(n)
     tx[-1] = 0.0
@@ -330,13 +360,11 @@ def assemble_s_system(
     mass = np.multiply(p.lam, c_new)
     mass += 1.0 / dt
     mass *= pat.volumes * phi_new
-    rhs = np.multiply(phi_old, state_old.s)
-    rhs /= dt
-    rhs *= pat.volumes
     if source is not None:
         rhs += pat.volumes * np.asarray(source)
 
     diag = mass.copy()
+    trace = pat.trace
     if trace is not None:
         if robin_data is None:
             nu = np.asarray(permeability(r_new, p), dtype=float)
@@ -370,7 +398,7 @@ def assemble_s_system(
     tx_sum = np.ascontiguousarray(tx.reshape(pat.shape)[:, :-1]).sum()
     phi_bar = float(2.0 * (tx_sum + ty.sum()) / pat.unit_diag_sum)
     m_bar = float(mass.sum() / pat.volume_sum)
-    return LinearSystem(
+    system = LinearSystem(
         indptr=pat.indptr,
         indices=pat.indices,
         data=data,
@@ -378,6 +406,7 @@ def assemble_s_system(
         pattern=pat,
         model_coefs=(phi_bar, m_bar),
     )
+    return system, phi_new
 
 
 class CgNonConvergence(RuntimeError):
@@ -553,6 +582,7 @@ class BalanceTerms:
     The first four entries are the summands of the discrete balance
     identity obtained by summing the volume-scaled scheme over all nodes;
     the traces record the surface inputs of the final rugosity update.
+    cg_iterations and cg_residual hold one entry per Picard sweep.
     """
 
     accumulation: float
@@ -562,8 +592,8 @@ class BalanceTerms:
     c_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     s_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     r_prev: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cg_iterations: int = 0
-    cg_residual: float = 0.0
+    cg_iterations: tuple[int, ...] = ()
+    cg_residual: tuple[float, ...] = ()
 
 
 def step(
@@ -572,8 +602,6 @@ def step(
     grid: Grid2D,
     p: PhysParams,
     picard_iters: int = 2,
-    psi: PsiPolynomial = PSI_ZERO,
-    f_ext: np.ndarray | float = 0.0,
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
 
@@ -582,38 +610,45 @@ def step(
     (3) s from the implicit solve with coefficients phi(c_new), nu(r_new).
     Further sweeps re-freeze s at the latest iterate and redo (1)-(3) from
     the time-level-n state, approximating the fully implicit coupling; each
-    sweep's solve starts from the previous sweep's s.
+    sweep's solve starts from the previous sweep's s.  The parts of the
+    system that only the time-level-n state fixes are computed once.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0 (dt={dt})")
     pat = _pattern(grid)
     trace = pat.trace
+    bad = _first_non_finite((("s_old", state.s), ("c_old", state.c)), pat)
+    if bad:
+        raise ValueError(f"non-finite values in {bad}")
+    phi_old, rhs_old = _old_state_terms(pat, state, dt, p)
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.
     s_frozen = np.maximum(state.s, 0.0)
-    c_new = state.c
     r_new, xi = state.r, np.zeros_like(state.r)
     s_new = state.s
-    iters = 0
-    resid = 0.0
+    iters, resids = [], []
     c_tr = np.zeros(0)
     s_tr = np.zeros(0)
 
     for _ in range(picard_iters):
         c_new = c_update_exact(state.c, s_frozen, dt, p)
+        if _first_non_finite((("c_new", c_new),), pat):
+            raise ValueError("non-finite values in c_new")
         if trace is not None:
             c_tr = c_new[trace.indices]
             s_tr = s_frozen[trace.indices]
-            r_new, xi = step_r(state.r, c_tr, s_tr, dt, p, f_ext=f_ext, psi=psi)
-        sys = assemble_s_system(grid, state, c_new, r_new, dt, p)
-        s_new, iters, resid = cg_solve(sys, x0=s_new, rel_tol=STEP_CG_TOL)
+            r_new, xi = step_r(state.r, c_tr, s_tr, dt, p)
+        sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
+        s_new, k, resid = cg_solve(sys, x0=s_new, rel_tol=STEP_CG_TOL)
+        iters.append(k)
+        resids.append(resid)
         if _first_non_finite((("s", s_new),), pat):
             raise ValueError("non-finite s after implicit solve")
         s_frozen = np.maximum(s_new, 0.0)
 
-    phi_new = np.asarray(porosity(c_new, p))
-    phi_old = np.asarray(porosity(state.c, p))
     v = pat.volumes
     accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)
     reaction = float(p.lam * (v * phi_new * c_new * s_new).sum())
@@ -632,7 +667,7 @@ def step(
         c_trace=c_tr,
         s_trace=s_tr,
         r_prev=state.r.copy(),
-        cg_iterations=iters,
-        cg_residual=resid,
+        cg_iterations=tuple(iters),
+        cg_residual=tuple(resids),
     )
     return new_state, terms

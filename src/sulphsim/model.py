@@ -198,27 +198,3 @@ def project_box(r_trial, dt: float, p: PhysParams):
     r = np.clip(r_trial, 0.0, p.R0)
     xi = (r_trial - r) / dt
     return r, xi
-
-
-@dataclass(frozen=True)
-class PsiPolynomial:
-    """Non-monotone surface potential, restricted to cubic polynomials.
-
-    coeffs are (c0, c1, c2, c3) of c0 + c1*r + c2*r^2 + c3*r^3.  The
-    reference experiments use the zero polynomial.
-    """
-
-    coeffs: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-
-    def value(self, r):
-        c0, c1, c2, c3 = self.coeffs
-        r = np.asarray(r, dtype=float)
-        return c0 + r * (c1 + r * (c2 + r * c3))
-
-    def deriv(self, r):
-        _, c1, c2, c3 = self.coeffs
-        r = np.asarray(r, dtype=float)
-        return c1 + r * (2.0 * c2 + r * 3.0 * c3)
-
-
-PSI_ZERO = PsiPolynomial()

@@ -1,8 +1,9 @@
 """Rugosity evolution on the exposed boundary and initial-profile generation.
 
-The surface equation dt(r) + xi + Psi'(r) + G(r, c, s) = F is a nodewise
-ODE; it advances by explicit Euler followed, in box mode, by projection
-onto [0, R0] with multiplier xi.  Initial profiles are constant, piecewise
+The surface equation dt(r) + xi + G(r, c, s) = 0 is a nodewise ODE (the
+paper's potential Psi and forcing F vanish in its experiments and are not
+modelled); it advances by explicit Euler followed, in box mode, by
+projection onto [0, R0] with multiplier xi.  Initial profiles are constant, piecewise
 constant in the free boundary coordinate, or Weibull-distributed draws from
 the run's deterministic generator.
 """
@@ -18,8 +19,6 @@ from .grid import BoundaryTrace, Grid2D
 from .model import (
     ConstraintMode,
     PhysParams,
-    PSI_ZERO,
-    PsiPolynomial,
     coerce_enums,
     enum_violations,
     project_box,
@@ -125,14 +124,12 @@ def step_r(
     s_trace: np.ndarray,
     dt: float,
     p: PhysParams,
-    f_ext: np.ndarray | float = 0.0,
-    psi: PsiPolynomial = PSI_ZERO,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One explicit Euler step of the rugosity equation, projected in box mode.
 
-    The trial value is r* = r_n - dt*(Psi'(r_n) + G(r_n, c, s) - F); in free
-    mode xi is identically zero and (r_new - r_n)/dt + G = F - Psi' holds to
-    roundoff by construction.
+    The trial value is r* = r_n - dt*G(r_n, c, s); in free mode xi is
+    identically zero and (r_new - r_n)/dt + G = 0 holds to roundoff by
+    construction.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (dt={dt})")
@@ -140,7 +137,8 @@ def step_r(
     if np.any(r_n < 0):
         raise ValueError("step_r requires r_n >= 0 nodewise")
     g_term = rugosity_reaction(r_n, c_trace, s_trace, p)
-    r_trial = r_n - dt * (psi.deriv(r_n) + g_term - f_ext)
+    # 0.0 + G turns a -0.0 reaction into +0.0, so r_n = -0.0 gives +0.0
+    r_trial = r_n - dt * (0.0 + g_term)
     if p.constraint_mode is ConstraintMode.BOX:
         return project_box(r_trial, dt, p)
     return r_trial, np.zeros_like(r_trial)

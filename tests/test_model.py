@@ -5,7 +5,6 @@ from sulphsim.model import (
     ConstraintMode,
     NuLaw,
     PhysParams,
-    PsiPolynomial,
     permeability,
     porosity,
     project_box,
@@ -204,18 +203,3 @@ class TestPhysParamsValidation:
         assert params().ceiling_guaranteed()
         assert not params(B=2.0).ceiling_guaranteed()
         assert not params(sbar=1.5, S0=1.0).ceiling_guaranteed()
-
-
-class TestPsiPolynomial:
-    def test_zero_default(self):
-        from sulphsim.model import PSI_ZERO
-
-        assert PSI_ZERO.value(1.3) == 0.0
-        assert PSI_ZERO.deriv(1.3) == 0.0
-
-    def test_cubic_derivative(self):
-        psi = PsiPolynomial((1.0, -2.0, 0.5, 0.25))
-        r = 1.7
-        h = 1e-6
-        num = (psi.value(r + h) - psi.value(r - h)) / (2 * h)
-        assert psi.deriv(r) == pytest.approx(num, abs=1e-8)

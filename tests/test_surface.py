@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sulphsim.grid import build_grid
-from sulphsim.model import ConstraintMode, PhysParams, PsiPolynomial
+from sulphsim.model import ConstraintMode, PhysParams
 from sulphsim.rng import Xoshiro256pp
 from sulphsim.surface import (
     RugosityInit,
@@ -173,15 +173,6 @@ class TestStepR:
         r_new, _ = step_r(r, c, s, dt, p)
         resid = (r_new - r) / dt + rugosity_reaction(r, c, s, p)
         assert np.abs(resid).max() < 1e-14
-
-    def test_psi_and_forcing_enter_the_update(self):
-        p = PhysParams()
-        psi = PsiPolynomial((0.0, 2.0, 0.0, 0.0))  # psi'(r) = 2
-        r = np.array([0.5])
-        dt = 1e-2
-        # c = s = 0 so G = 0; dr = -dt*(psi' - F)
-        r1, _ = step_r(r, np.zeros(1), np.zeros(1), dt, p, f_ext=3.0, psi=psi)
-        assert r1[0] == pytest.approx(0.5 + dt * (3.0 - 2.0), rel=1e-14)
 
     def test_rejects_negative_rugosity(self):
         with pytest.raises(ValueError):
