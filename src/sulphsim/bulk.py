@@ -577,12 +577,15 @@ def cg_solve(
 
 @dataclass
 class BalanceTerms:
-    """Per-step byproducts consumed by the invariant audit.
+    """Per-step byproducts consumed by the invariant audit and the next step.
 
     The first four entries are the summands of the discrete balance
     identity obtained by summing the volume-scaled scheme over all nodes;
     the traces record the surface inputs of the final rugosity update.
-    cg_iterations and cg_residual hold one entry per Picard sweep.
+    cg_iterations and cg_residual hold one entry per Picard sweep.  s_in
+    is the step's input s and s_sweeps each sweep's solution (the arrays
+    themselves, not copies): the solution history that warm-starts the
+    next step's solves.
     """
 
     accumulation: float
@@ -594,6 +597,8 @@ class BalanceTerms:
     r_prev: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cg_iterations: tuple[int, ...] = ()
     cg_residual: tuple[float, ...] = ()
+    s_in: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    s_sweeps: tuple[np.ndarray, ...] = ()
 
 
 def step(
@@ -602,6 +607,7 @@ def step(
     grid: Grid2D,
     p: PhysParams,
     picard_iters: int = 2,
+    history: BalanceTerms | None = None,
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
 
@@ -609,9 +615,18 @@ def step(
     the explicit surface update using traces of the new c and the frozen s,
     (3) s from the implicit solve with coefficients phi(c_new), nu(r_new).
     Further sweeps re-freeze s at the latest iterate and redo (1)-(3) from
-    the time-level-n state, approximating the fully implicit coupling; each
-    sweep's solve starts from the previous sweep's s.  The parts of the
-    system that only the time-level-n state fixes are computed once.
+    the time-level-n state, approximating the fully implicit coupling.  The
+    parts of the system that only the time-level-n state fixes are
+    computed once.
+
+    history, the previous step's BalanceTerms, only chooses where each
+    sweep's CG starts (Fischer's history-based initial guess in its
+    simplest form).  Sweep 1 starts from 2*s^n - s^(n-1) and sweep k >= 2
+    from s_(k-1)^(n+1) + (s_k^n - s_(k-1)^n), the new sweep k-1 solution
+    plus the previous step's sweep-k correction.  Without history, sweep 1
+    starts from s^n and sweep k from s_(k-1)^(n+1).  Either way each solve
+    stops at the same tolerance, so the start moves the result only within
+    it.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
@@ -629,11 +644,11 @@ def step(
     s_frozen = np.maximum(state.s, 0.0)
     r_new, xi = state.r, np.zeros_like(state.r)
     s_new = state.s
-    iters, resids = [], []
+    sweeps, iters, resids = [], [], []
     c_tr = np.zeros(0)
     s_tr = np.zeros(0)
 
-    for _ in range(picard_iters):
+    for k in range(picard_iters):
         c_new = c_update_exact(state.c, s_frozen, dt, p)
         if _first_non_finite((("c_new", c_new),), pat):
             raise ValueError("non-finite values in c_new")
@@ -642,8 +657,16 @@ def step(
             s_tr = s_frozen[trace.indices]
             r_new, xi = step_r(state.r, c_tr, s_tr, dt, p)
         sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
-        s_new, k, resid = cg_solve(sys, x0=s_new, rel_tol=STEP_CG_TOL)
-        iters.append(k)
+        x0 = s_new
+        if history is not None and k == 0:
+            x0 = 2.0 * state.s
+            x0 -= history.s_in
+        elif history is not None and k < len(history.s_sweeps):
+            x0 = history.s_sweeps[k] - history.s_sweeps[k - 1]
+            x0 += s_new
+        s_new, n_iter, resid = cg_solve(sys, x0=x0, rel_tol=STEP_CG_TOL)
+        sweeps.append(s_new)
+        iters.append(n_iter)
         resids.append(resid)
         if _first_non_finite((("s", s_new),), pat):
             raise ValueError("non-finite s after implicit solve")
@@ -669,5 +692,7 @@ def step(
         r_prev=state.r.copy(),
         cg_iterations=tuple(iters),
         cg_residual=tuple(resids),
+        s_in=state.s,
+        s_sweeps=tuple(sweeps),
     )
     return new_state, terms

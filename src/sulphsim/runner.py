@@ -134,9 +134,12 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
 
     status = 0
     error = None
+    terms = None  # the previous step's, whose solution history warm-starts the next
     try:
         for k in range(1, cfg.n_steps + 1):
-            state, terms = step(state, cfg.dt, grid, p, picard_iters=cfg.picard_iters)
+            state, terms = step(
+                state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=terms
+            )
             entry = audit_step(state, p, terms, grid, step_index=k)
             report.append(entry)
             if trace is not None:

@@ -1,9 +1,14 @@
 """Coupled one-step integrator: rest states, symmetry, bounds, regression."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+import sulphsim.bulk as bulk
 from sulphsim.bulk import FieldState, step
+from sulphsim.config import parse_config
 from sulphsim.grid import Edge, EdgeTag, build_grid
 from sulphsim.model import PhysParams
 from sulphsim.rng import Xoshiro256pp
@@ -27,6 +32,19 @@ class TestRestState:
         st = initial_state(grid, p)
         for _ in range(5):
             new, _ = step(st, 1.0 / 5000.0, grid, p)
+            assert np.array_equal(new.s, st.s)
+            assert np.array_equal(new.c, st.c)
+            assert np.array_equal(new.r, st.r)
+            st = new
+
+
+    def test_zero_ambient_is_a_fixed_point_with_history(self):
+        p = PhysParams(sbar=0.0)
+        grid = build_grid(9, 9)
+        st = initial_state(grid, p)
+        terms = None
+        for _ in range(5):
+            new, terms = step(st, 1.0 / 5000.0, grid, p, history=terms)
             assert np.array_equal(new.s, st.s)
             assert np.array_equal(new.c, st.c)
             assert np.array_equal(new.r, st.r)
@@ -142,3 +160,99 @@ class TestNoExposedEdge:
         assert len(new.r) == 0
         assert terms.boundary_exchange == 0.0
         assert new.s.max() < 0.4
+
+
+
+def weibull_text(n, seed, n_steps):
+    return (
+        f"nx = {n}\nny = {n}\ndt = 0.01\nn_steps = {n_steps}\nnu_law = parabolic\n"
+        f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\nemit_vtk = false\n"
+    )
+
+
+def weibull_setup(n, seed, n_steps):
+    """Config, grid, parameters and initial state of a parabolic Weibull run."""
+    cfg = parse_config(weibull_text(n, seed, n_steps))
+    grid, p = cfg.grid(), cfg.phys()
+    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(seed), p)
+    n_nodes = grid.n_nodes
+    return cfg, grid, p, FieldState(0.0, np.zeros(n_nodes), np.full(n_nodes, p.C0), r0, np.zeros_like(r0))
+
+
+def march(st, cfg, grid, p, warm):
+    """cfg.n_steps steps, each given the last step's terms as history when warm.
+
+    Returns the final state and the CG iterations summed per Picard sweep.
+    """
+    terms = None
+    totals = np.zeros(cfg.picard_iters, dtype=int)
+    for _ in range(cfg.n_steps):
+        st, terms = step(st, cfg.dt, grid, p, cfg.picard_iters, history=terms if warm else None)
+        totals += terms.cg_iterations
+    return st, totals.tolist()
+
+
+class TestWarmStart:
+    """step()'s history only moves where each sweep's CG starts."""
+
+    def test_without_history_steps_are_unchanged(self):
+        # sha256 of (s, c, r) after 20 steps without history, as computed
+        # before the history argument existed
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20)
+        for _ in range(cfg.n_steps):
+            st, _ = step(st, cfg.dt, grid, p)
+        digest = hashlib.sha256(st.s.tobytes() + st.c.tobytes() + st.r.tobytes()).hexdigest()
+        assert digest == "4ad4d5d7a79dc778cebf9e43e262e5d194d1bbb493ff91b43af7806d46664863"
+
+    def test_sweep_starts(self, monkeypatch):
+        cg_solve = bulk.cg_solve
+        starts = []
+
+        def recording(sys, x0=None, **kwargs):
+            starts.append(np.array(x0))
+            return cg_solve(sys, x0=x0, **kwargs)
+
+        monkeypatch.setattr(bulk, "cg_solve", recording)
+        cfg, grid, p, st0 = weibull_setup(17, seed=3, n_steps=3)
+        st1, t1 = step(st0, cfg.dt, grid, p)
+        st2, t2 = step(st1, cfg.dt, grid, p)
+        assert t2.s_in is st1.s and t2.s_sweeps[-1] is st2.s
+        assert len(t2.cg_iterations) == len(t2.cg_residual) == len(t2.s_sweeps) == 2
+        # without history: s^n, then the previous sweep's s
+        assert np.array_equal(starts[2], st1.s)
+        assert np.array_equal(starts[3], t2.s_sweeps[0])
+        # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
+        _, t3 = step(st2, cfg.dt, grid, p, history=t2)
+        assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
+        assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
+
+    def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
+        from sulphsim.runner import run
+
+        text = weibull_text(33, seed=7, n_steps=60)
+        got = run(parse_config(text + f"out_dir = {tmp_path / 'cg'}\n")).final_state
+        monkeypatch.setattr(
+            bulk, "cg_solve", lambda sys, **kw: (spsolve(sys.matrix().tocsc(), sys.rhs), 0, 0.0)
+        )
+        want = run(parse_config(text + f"out_dir = {tmp_path / 'direct'}\n")).final_state
+        for name in ("s", "c", "r"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), name
+
+    def test_run_gives_each_step_the_last_steps_history(self, tmp_path):
+        from sulphsim.runner import run
+
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=15)
+        got = run(parse_config(weibull_text(17, 3, 15) + f"out_dir = {tmp_path}\n")).final_state
+        want, _ = march(st, cfg, grid, p, warm=True)
+        for name in ("s", "c", "r"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_per_sweep_iterations_fall(self):
+        # 65^2, seed 29, 40 steps: each Picard sweep's CG iterations summed
+        # over the run, cold and warm-started
+        cfg, grid, p, st = weibull_setup(65, seed=29, n_steps=40)
+        _, cold = march(st, cfg, grid, p, warm=False)
+        _, warm = march(st, cfg, grid, p, warm=True)
+        assert cold == [253, 204]
+        assert warm == [222, 172]
