@@ -3,9 +3,9 @@
 The surface equation dt(r) + xi + G(r, c, s) = 0 is a nodewise ODE (the
 paper's potential Psi and forcing F vanish in its experiments and are not
 modelled); it advances by explicit Euler followed, in box mode, by
-projection onto [0, R0] with multiplier xi.  Initial profiles are constant, piecewise
-constant in the free boundary coordinate, or Weibull-distributed draws from
-the run's deterministic generator.
+projection onto [0, R0] with multiplier xi.  Initial profiles are constant,
+piecewise constant in the free boundary coordinate, or Weibull-distributed
+draws from the run's deterministic generator.
 """
 
 from __future__ import annotations
