@@ -12,6 +12,7 @@ from sulphsim.config import parse_config
 from sulphsim.grid import Edge, EdgeTag, build_grid
 from sulphsim.model import PhysParams
 from sulphsim.rng import Xoshiro256pp
+from sulphsim.runner import run
 from sulphsim.surface import RugosityInit, init_rugosity
 
 
@@ -36,7 +37,6 @@ class TestRestState:
             assert np.array_equal(new.c, st.c)
             assert np.array_equal(new.r, st.r)
             st = new
-
 
     def test_zero_ambient_is_a_fixed_point_with_history(self):
         p = PhysParams(sbar=0.0)
@@ -162,7 +162,6 @@ class TestNoExposedEdge:
         assert new.s.max() < 0.4
 
 
-
 def weibull_text(n, seed, n_steps):
     return (
         f"nx = {n}\nny = {n}\ndt = 0.01\nn_steps = {n_steps}\nnu_law = parabolic\n"
@@ -175,8 +174,8 @@ def weibull_setup(n, seed, n_steps):
     cfg = parse_config(weibull_text(n, seed, n_steps))
     grid, p = cfg.grid(), cfg.phys()
     r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(seed), p)
-    n_nodes = grid.n_nodes
-    return cfg, grid, p, FieldState(0.0, np.zeros(n_nodes), np.full(n_nodes, p.C0), r0, np.zeros_like(r0))
+    n = grid.n_nodes
+    return cfg, grid, p, FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
 
 
 def march(st, cfg, grid, p, warm):
@@ -214,7 +213,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(bulk, "cg_solve", recording)
         cfg, grid, p, st0 = weibull_setup(17, seed=3, n_steps=3)
-        st1, t1 = step(st0, cfg.dt, grid, p)
+        st1, _ = step(st0, cfg.dt, grid, p)
         st2, t2 = step(st1, cfg.dt, grid, p)
         assert t2.s_in is st1.s and t2.s_sweeps[-1] is st2.s
         assert len(t2.cg_iterations) == len(t2.cg_residual) == len(t2.s_sweeps) == 2
@@ -227,8 +226,6 @@ class TestWarmStart:
         assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
 
     def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
-        from sulphsim.runner import run
-
         text = weibull_text(33, seed=7, n_steps=60)
         got = run(parse_config(text + f"out_dir = {tmp_path / 'cg'}\n")).final_state
         monkeypatch.setattr(
@@ -240,8 +237,6 @@ class TestWarmStart:
             assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), name
 
     def test_run_gives_each_step_the_last_steps_history(self, tmp_path):
-        from sulphsim.runner import run
-
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=15)
         got = run(parse_config(weibull_text(17, 3, 15) + f"out_dir = {tmp_path}\n")).final_state
         want, _ = march(st, cfg, grid, p, warm=True)
