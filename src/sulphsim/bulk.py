@@ -184,7 +184,14 @@ class _Pattern:
         self.volumes = grid.node_volumes()
         self.volume_sum = self.volumes.sum()
         self.n = n
-        self.trace = grid.exposed_trace()
+        self.trace = trace = grid.exposed_trace()
+        # The trace's nodes as a slice: an edge's nodes are evenly spaced in
+        # the flat layout, and a slice indexes every row of a (K, n) array
+        # faster than the index array does.
+        if trace is not None:
+            idx = trace.indices
+            stride = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+            self.trace_nodes = slice(int(idx[0]), int(idx[-1]) + 1, stride)
         self.zeros = np.zeros(n)  # see _first_non_finite
 
         self.qx, lam_x = _cosine_basis(nx, grid.hx)
@@ -206,12 +213,13 @@ def _add_face_couplings(diag: np.ndarray, tx: np.ndarray, ty: np.ndarray, nx: in
     end of each row; ty (length n - nx) couples it to its north neighbour.
     The order east, west, north, south is fixed, and each node gets one
     term per direction (+0.0 from a row-end zero), so the sums equal a
-    face-by-face scatter in that order.
+    face-by-face scatter in that order.  Leading axes, if any, index
+    separate systems.
     """
     diag += tx
-    diag[1:] += tx[:-1]
-    diag[:-nx] += ty
-    diag[nx:] += ty
+    diag[..., 1:] += tx[..., :-1]
+    diag[..., :-nx] += ty
+    diag[..., nx:] += ty
 
 
 # One stencil pattern per grid value, shared by every system assembled on it.
@@ -266,12 +274,19 @@ def _first_non_finite(named, pat: _Pattern) -> str | None:
     return None
 
 
-def _robin_shape_error(robin: RobinData, m: int) -> str | None:
-    """What is wrong with robin as data for an m-node trace, or None."""
+def _robin_error(robin: RobinData, trace, rows: tuple[int, ...] = ()) -> str | None:
+    """What is wrong with robin as exchange data on trace, or None.
+
+    rows is () for the data of one system and (K,) for that of K systems,
+    one row each.
+    """
+    if trace is None:
+        return "robin_data given for a grid with no exposed edge"
+    expected = rows + (len(trace),)
     for name in ("nu", "sbar", "flux"):
         shape = np.shape(getattr(robin, name))
-        if shape != (m,):
-            return f"robin_data.{name} has shape {shape}, expected ({m},) for the exposed trace"
+        if shape != expected:
+            return f"robin_data.{name} has shape {shape}, expected {expected} for the exposed trace"
     return None
 
 
@@ -298,61 +313,156 @@ def assemble_s_system(
     bad = _first_non_finite((("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c)), pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
-    trace = pat.trace
     if robin_data is not None:
-        problem = (
-            "robin_data given for a grid with no exposed edge" if trace is None
-            else _robin_shape_error(robin_data, len(trace))
-        )
+        problem = _robin_error(robin_data, pat.trace)
         if problem:
             raise ValueError(problem)
     _, rhs = _old_state_terms(pat, state_old, dt, p)
-    return _assemble(pat, rhs, c_new, r_new, dt, p, source, robin_data)[0]
+    return _assemble(pat, np.asarray(c_new), r_new, dt, p, source, robin_data).complete((), rhs)
 
 
-def _old_state_terms(pat: _Pattern, state_old: FieldState, dt: float, p: PhysParams):
-    """phi(c^n) and V*phi(c^n)*s^n/dt, the part of the s-system the old state fixes.
-
-    step() computes them once for all its Picard sweeps.  The right-hand
-    side is built in place, in the operation order of its formula.
-    """
-    phi_old = np.asarray(porosity(state_old.c, p))
-    rhs = np.multiply(phi_old, state_old.s)
-    rhs /= dt
-    rhs *= pat.volumes
-    return phi_old, rhs
-
-
-def _assemble(
-    pat: _Pattern,
-    rhs: np.ndarray,
+def assemble_s_rows(
+    grid: Grid2D,
+    c_old: np.ndarray,
     c_new: np.ndarray,
     r_new: np.ndarray,
     dt: float,
     p: PhysParams,
     source: np.ndarray | None = None,
     robin_data: RobinData | None = None,
-) -> tuple[LinearSystem, np.ndarray]:
-    """The s-system on pat's grid, and phi(c_new), from checked inputs.
+) -> "SystemRows":
+    """The s-free part of the s-systems of K consecutive steps, one row per step.
 
-    rhs is the old-state part of the right-hand side (see
-    _old_state_terms); the system takes it over and adds the source and
-    exchange terms in place.
+    Row k of c_new (K, n) is the calcite density at the new time level of
+    step k, and c_old the one before step 0.  source has the shape of
+    c_new, and r_new (read only without robin_data) and robin_data's
+    arrays hold one row of trace values per step, (K, m).
+    SystemRows.system(k, s_old) completes step k's system, bit for bit the
+    one assemble_s_system builds from the same inputs.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0 (dt={dt})")
+    pat = _pattern(grid)
+    c_new = np.asarray(c_new)
+    bad = _first_non_finite((("c_old", c_old),) + tuple(("c_new", row) for row in c_new), pat)
+    if bad:
+        raise ValueError(f"non-finite values in {bad}")
+    if source is not None and np.shape(source) != c_new.shape:
+        raise ValueError(f"source has shape {np.shape(source)}, expected {c_new.shape}")
+    if robin_data is not None:
+        problem = _robin_error(robin_data, pat.trace, (len(c_new),))
+        if problem:
+            raise ValueError(problem)
+    elif pat.trace is not None and np.shape(r_new) != (len(c_new), len(pat.trace)):
+        raise ValueError(f"r_new has shape {np.shape(r_new)}, expected {(len(c_new), len(pat.trace))}")
+    rows = _assemble(pat, c_new, r_new, dt, p, source, robin_data)
+    rows.phi_old = np.asarray(porosity(c_old, p))
+    return rows
+
+
+def _old_state_terms(pat: _Pattern, state_old: FieldState, dt: float, p: PhysParams):
+    """phi(c^n) and V*phi(c^n)*s^n/dt, the part of the s-system the old state fixes.
+
+    step() computes them once for all its Picard sweeps.
+    """
+    phi_old = np.asarray(porosity(state_old.c, p))
+    return phi_old, _old_rhs(pat, phi_old, state_old.s, dt)
+
+
+def _old_rhs(pat: _Pattern, phi_old: np.ndarray, s_old: np.ndarray, dt: float) -> np.ndarray:
+    """V*phi(c^n)*s^n/dt, built in place in the operation order of its formula."""
+    rhs = np.multiply(phi_old, s_old)
+    rhs /= dt
+    rhs *= pat.volumes
+    return rhs
+
+
+@dataclass
+class SystemRows:
+    """s-systems on one grid, short of the old-state part of their right-hand sides.
+
+    Each array has the leading axes of the c_new it was built from: (K,)
+    for K systems, or none for one.  Row k holds a system's matrix entries
+    data[k] (the five-slot layout of _Pattern), its model coefficients
+    (phi_bar[k], m_bar[k]), phi[k] = phi(c_new[k]), and the parts of its
+    right-hand side that s does not enter: forcing[k] = V*source[k] and
+    exchange[k], the exposed-edge terms.  phi_old, when set, is phi(c)
+    before row 0 (see assemble_s_rows).
+    """
+
+    pat: _Pattern
+    dt: float
+    data: np.ndarray
+    phi_bar: np.ndarray
+    m_bar: np.ndarray
+    phi: np.ndarray
+    forcing: np.ndarray | None
+    exchange: np.ndarray | None
+    phi_old: np.ndarray | None = None
+
+    def system(self, k: int, s_old: np.ndarray) -> LinearSystem:
+        """Step k's system, given s^n, the s before it.
+
+        phi(c^n) is phi_old for k = 0 and phi[k-1] after it.
+        """
+        pat = self.pat
+        if _first_non_finite((("s_old", s_old),), pat):
+            raise ValueError("non-finite values in s_old")
+        phi_old = self.phi_old if k == 0 else self.phi[k - 1]
+        return self.complete(k, _old_rhs(pat, phi_old, s_old, self.dt))
+
+    def complete(self, k, rhs: np.ndarray) -> LinearSystem:
+        """Row k's system, taking over rhs, its old-state part (see _old_state_terms).
+
+        k is () when there are no leading axes.  The forcing and then the
+        exchange terms are added in place, in the operation order of the
+        right-hand side's formula.
+        """
+        pat = self.pat
+        if self.forcing is not None:
+            rhs += self.forcing[k]
+        if self.exchange is not None:
+            rhs[pat.trace_nodes] += self.exchange[k]
+        return LinearSystem(
+            indptr=pat.indptr,
+            indices=pat.indices,
+            data=self.data[k],
+            rhs=rhs,
+            pattern=pat,
+            model_coefs=(float(self.phi_bar[k]), float(self.m_bar[k])),
+        )
+
+
+def _assemble(
+    pat: _Pattern,
+    c_new: np.ndarray,
+    r_new: np.ndarray,
+    dt: float,
+    p: PhysParams,
+    source: np.ndarray | None = None,
+    robin_data: RobinData | None = None,
+) -> SystemRows:
+    """The s-free part of s-systems on pat's grid, from checked inputs.
+
+    c_new is one system's nodal values (n,) or K systems' (K, n), and
+    source has its shape.  r_new and robin_data's arrays hold the trace
+    values with the same leading axes.  Every operation acts on all
+    systems at once, so each is built bit for bit as it would be alone.
     """
     phi_new = np.asarray(porosity(c_new, p))
 
     # Each coefficient is built in place, in the operation order of its
     # formula: tx = 0.5*(phi_p + phi_q)*xlen/hx, mass = V*phi*(1/dt + lam*c),
-    # rhs += V*source.  Face arrays are flat, as in _add_face_couplings.
-    n, nx = pat.n, pat.shape[1]
-    tx = np.empty(n)
-    tx[-1] = 0.0
-    np.add(phi_new[:-1], phi_new[1:], out=tx[:-1])
+    # forcing = V*source.  Face arrays are flat, as in _add_face_couplings.
+    lead, n, nx = c_new.shape[:-1], pat.n, pat.shape[1]
+    tx = np.empty(c_new.shape)
+    tx[..., -1] = 0.0
+    np.add(phi_new[..., :-1], phi_new[..., 1:], out=tx[..., :-1])
     tx *= 0.5
     tx *= pat.xlen
     tx /= pat.hx
-    tx[nx - 1 :: nx] = 0.0
-    ty = np.add(phi_new[:-nx], phi_new[nx:])
+    tx[..., nx - 1 :: nx] = 0.0
+    ty = np.add(phi_new[..., :-nx], phi_new[..., nx:])
     ty *= 0.5
     ty *= pat.ylen
     ty /= pat.hy
@@ -360,53 +470,43 @@ def _assemble(
     mass = np.multiply(p.lam, c_new)
     mass += 1.0 / dt
     mass *= pat.volumes * phi_new
-    if source is not None:
-        rhs += pat.volumes * np.asarray(source)
+    forcing = None if source is None else pat.volumes * np.asarray(source)
+    # volume-weighted mean of the mass + reaction coefficient, before the
+    # diagonal is built on mass in place
+    m_bar = mass.sum(axis=-1) / pat.volume_sum
 
-    diag = mass.copy()
+    diag = mass
     trace = pat.trace
+    exchange = None
     if trace is not None:
-        if robin_data is None:
-            nu = np.asarray(permeability(r_new, p), dtype=float)
-            robin_data = RobinData(
-                nu=nu,
-                sbar=np.full(len(trace), p.sbar),
-                flux=np.zeros(len(trace)),
-            )
-        if (robin_data.nu < 0).any():
+        if robin_data is None:  # nu(r), sbar and no flux, as scalars where uniform
+            nu, sbar, flux = np.asarray(permeability(r_new, p), dtype=float), p.sbar, 0.0
+        else:
+            nu, sbar, flux = robin_data.nu, robin_data.sbar, robin_data.flux
+        if (nu < 0).any():
             raise ValueError("negative boundary permeability nu(r)")
-        diag[trace.indices] += robin_data.nu * trace.weights
-        rhs[trace.indices] += trace.weights * (
-            robin_data.nu * robin_data.sbar + robin_data.flux
-        )
+        diag[..., pat.trace_nodes] += nu * trace.weights
+        exchange = trace.weights * (nu * sbar + flux)
     _add_face_couplings(diag, tx, ty, nx)
 
     # One strided write per slot (see _Pattern), then the pads.
-    data = np.empty(5 * n)
-    data[DIAG::5] = diag
-    np.negative(tx, out=data[EAST::5])
-    np.negative(tx[:-1], out=data[WEST + 5 :: 5])
-    np.negative(ty, out=data[NORTH : 5 * (n - nx) : 5])
-    np.negative(ty, out=data[SOUTH + 5 * nx :: 5])
-    slots = data.reshape(*pat.shape, 5)
-    slots[:, -1, EAST] = slots[:, 0, WEST] = slots[-1, :, NORTH] = slots[0, :, SOUTH] = 0.0
+    data = np.empty(lead + (5 * n,))
+    data[..., DIAG::5] = diag
+    np.negative(tx, out=data[..., EAST::5])
+    np.negative(tx[..., :-1], out=data[..., WEST + 5 :: 5])
+    np.negative(ty, out=data[..., NORTH : 5 * (n - nx) : 5])
+    np.negative(ty, out=data[..., SOUTH + 5 * nx :: 5])
+    slots = data.reshape(lead + pat.shape + (5,))
+    slots[..., -1, EAST] = slots[..., 0, WEST] = slots[..., -1, :, NORTH] = slots[..., 0, :, SOUTH] = 0.0
 
     # Face-coupling-weighted mean of phi (each face enters two diagonal
-    # entries) and volume-weighted mean of the mass + reaction coefficient.
-    # The x-faces are summed as the contiguous (ny, nx-1) array they form
-    # without the row-end zeros, which fixes the order of the sum.
-    tx_sum = np.ascontiguousarray(tx.reshape(pat.shape)[:, :-1]).sum()
-    phi_bar = float(2.0 * (tx_sum + ty.sum()) / pat.unit_diag_sum)
-    m_bar = float(mass.sum() / pat.volume_sum)
-    system = LinearSystem(
-        indptr=pat.indptr,
-        indices=pat.indices,
-        data=data,
-        rhs=rhs,
-        pattern=pat,
-        model_coefs=(phi_bar, m_bar),
-    )
-    return system, phi_new
+    # entries).  The x-faces are summed as the contiguous (ny, nx-1) array
+    # they form without the row-end zeros, which fixes the order of the
+    # sum.  numpy sums each system of a stacked array as it sums that
+    # system alone.
+    tx_sum = np.ascontiguousarray(tx.reshape(lead + pat.shape)[..., :-1]).sum(axis=(-2, -1))
+    phi_bar = 2.0 * (tx_sum + ty.sum(axis=-1)) / pat.unit_diag_sum
+    return SystemRows(pat, dt, data, phi_bar, m_bar, phi_new, forcing, exchange)
 
 
 class CgNonConvergence(RuntimeError):
@@ -656,7 +756,8 @@ def step(
             c_tr = c_new[trace.indices]
             s_tr = s_frozen[trace.indices]
             r_new, xi = step_r(state.r, c_tr, s_tr, dt, p)
-        sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
+        rows = _assemble(pat, c_new, r_new, dt, p)
+        sys, phi_new = rows.complete((), rhs_old.copy()), rows.phi
         x0 = s_new
         if history is not None and k == 0:
             x0 = 2.0 * state.s
