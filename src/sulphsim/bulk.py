@@ -188,10 +188,10 @@ class _Pattern:
         # The trace's nodes as a slice: an edge's nodes are evenly spaced in
         # the flat layout, and a slice indexes every row of a (K, n) array
         # faster than the index array does.
+        self.trace_nodes = None
         if trace is not None:
-            idx = trace.indices
-            stride = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-            self.trace_nodes = slice(int(idx[0]), int(idx[-1]) + 1, stride)
+            idx = trace.indices.tolist()
+            self.trace_nodes = slice(idx[0], idx[-1] + 1, idx[1] - idx[0])
         self.zeros = np.zeros(n)  # see _first_non_finite
 
         self.qx, lam_x = _cosine_basis(nx, grid.hx)

@@ -312,8 +312,9 @@ def _mms_grid(n: int) -> Grid2D:
     return build_grid(n, n, {Edge.LEFT: EdgeTag.EXPOSED})
 
 
-# Entries in each (steps, nodes) array of a block of MMS steps: 4 steps at
-# 65^2, 1 at 129^2.  A block's buffers then add about 1 MB at 65^2.
+# Entries in each (steps, nodes) array of a block of MMS steps: 69 steps at
+# 17^2, 4 at 65^2 and 1 from 129^2 up.  The block's matrix entries are five
+# times that, so a block holds about 1.4 MB at 65^2.
 _BLOCK_ELEMENTS = 20_000
 
 
@@ -364,7 +365,6 @@ def run_mms_level(
             s_prev = s
             s, _, _ = cg_solve(sys, x0=x0, rel_tol=cg_rel_tol)
         c_old = c_new[-1]
-        del rows, sys  # free the block before the next one is built
 
     err = s - mf.s_exact(x1, x2, t_end)
     vols = grid.node_volumes()

@@ -225,7 +225,6 @@ class TestMmsMachinery:
         assert abs(warm[1] - direct[1]) <= 1e-12
 
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
-        from sulphsim.bulk import RobinData
         from sulphsim.model import permeability
 
         p = PhysParams()
