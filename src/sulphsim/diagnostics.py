@@ -318,14 +318,14 @@ def _mms_grid(n: int) -> Grid2D:
 _BLOCK_ELEMENTS = 20_000
 
 
-def run_mms_level(
+def _mms_solution(
     mf: ManufacturedFields,
     n: int,
     dt: float,
     t_end: float,
     cg_rel_tol: float = 1e-12,
-) -> tuple[float, float]:
-    """Integrate the forced s-equation on an n x n grid; return error norms at t_end.
+) -> np.ndarray:
+    """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
     c and r are prescribed, so everything in the s-systems that s does not
     enter (c, the source, the Robin data, the matrix, phi(c) and the model
@@ -365,21 +365,38 @@ def run_mms_level(
             s_prev = s
             s, _, _ = cg_solve(sys, x0=x0, rel_tol=cg_rel_tol)
         c_old = c_new[-1]
-
-    err = s - mf.s_exact(x1, x2, t_end)
-    vols = grid.node_volumes()
-    err_l2 = float(np.sqrt(np.sum(vols * err**2)))
-    err_max = float(np.abs(err).max())
-    return err_l2, err_max
+    return s
 
 
-def _mms_level_job(job: tuple[ManufacturedFields, int, float]) -> tuple[float, float]:
-    """run_mms_level for one (fields, n, dt) level of a study, up to MMS_T_END."""
+def _error_norms(n: int, err: np.ndarray) -> tuple[float, float]:
+    """The discrete L2 norm (dual-cell volumes) and the max norm of err on the n x n grid."""
+    vols = _mms_grid(n).node_volumes()
+    return float(np.sqrt(np.sum(vols * err**2))), float(np.abs(err).max())
+
+
+def run_mms_level(
+    mf: ManufacturedFields,
+    n: int,
+    dt: float,
+    t_end: float,
+    cg_rel_tol: float = 1e-12,
+) -> tuple[float, float]:
+    """Integrate the forced s-equation on an n x n grid; return error norms at t_end.
+
+    The error is s - s_exact at t_end, in the norms of _error_norms.
+    """
+    s = _mms_solution(mf, n, dt, t_end, cg_rel_tol)
+    grid = _mms_grid(n)
+    return _error_norms(n, s - mf.s_exact(grid.x1(), grid.x2(), t_end))
+
+
+def _mms_job(job: tuple[ManufacturedFields, int, float]) -> np.ndarray:
+    """s at MMS_T_END for one (fields, n, dt) solution of a study."""
     mf, n, dt = job
-    return run_mms_level(mf, n, dt, MMS_T_END)
+    return _mms_solution(mf, n, dt, MMS_T_END)
 
 
-SPATIAL_DT = 1e-5
+SPATIAL_DT = 1e-3
 TEMPORAL_GRID = 129
 TEMPORAL_DT0 = 0.05
 MMS_T_END = 0.1
@@ -390,36 +407,60 @@ def mms_convergence(
     levels: int,
     p: PhysParams | None = None,
 ) -> ConvergenceTable:
-    """Run the spatial or temporal convergence study.
+    """Run the spatial or temporal convergence study at t = 0.1.
 
-    Spatial: dt fixed at 1e-5, grids 17^2 -> 33^2 -> 65^2 -> 129^2 (then
-    further refined by nesting).  Temporal: grid fixed at 129^2, dt halved
-    per level starting from 0.05.  Errors are measured at t = 0.1 against
-    the manufactured solution.  The levels run in up to SULPHSIM_THREADS
-    worker processes (see pool.map_jobs); the table does not depend on how
-    many.
+    Spatial: grids 17^2 -> 33^2 -> 65^2 -> 129^2 (then further refined by
+    nesting), each solved at dt = 1e-3 and at dt/2.  A level's errors are
+    those of 2*s(dt/2) - s(dt) against the manufactured solution: this
+    Richardson extrapolation cancels backward Euler's first-order time
+    error, so the h^2 error shows without a tiny dt.  The extrapolated
+    field is only an error measure; it solves no scheme and keeps none of
+    its bounds (s >= 0, s <= S0).
+
+    Temporal: grid fixed at 129^2, dt halved per level starting from 0.05,
+    with one solution more than levels.  Level k's errors are the norms of
+    s(dt_k) - s(dt_(k+1)), the difference of successive solutions on the
+    one grid, in which the spatial error cancels exactly; the orders are
+    the observed orders of those differences.
+
+    The solutions run in up to SULPHSIM_THREADS worker processes (see
+    pool.map_jobs); the table does not depend on how many.
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 levels")
     if study == "spatial":
-        plan = [(16 * 2**k + 1, SPATIAL_DT) for k in range(levels)]  # 17, 33, 65, ...
+        sizes = [16 * 2**k + 1 for k in range(levels)]  # 17, 33, 65, ...
+        solves = [(n, dt) for n in sizes for dt in (SPATIAL_DT, SPATIAL_DT / 2)]
     elif study == "temporal":
-        plan = [(TEMPORAL_GRID, TEMPORAL_DT0 / 2**k) for k in range(levels)]
+        dts = [TEMPORAL_DT0 / 2**k for k in range(levels + 1)]
+        solves = [(TEMPORAL_GRID, dt) for dt in dts]
     else:
         raise ValueError(f"unknown study {study!r}")
     mf = ManufacturedFields(p if p is not None else PhysParams())
-    # The last level, on the finest grid or with the smallest dt, costs the
-    # most, so it is submitted first; the errors come back in plan order.
-    errors = map_jobs(_mms_level_job, [(mf, n, dt) for n, dt in reversed(plan)])[::-1]
+    # The last solution, on the finest grid or with the smallest dt, costs
+    # the most, so it is submitted first; the solutions come back in order.
+    s = map_jobs(_mms_job, [(mf, n, dt) for n, dt in reversed(solves)])[::-1]
+
+    if study == "spatial":
+        h_or_dt = [1.0 / (n - 1) for n in sizes]
+        errors = []
+        for k, n in enumerate(sizes):
+            grid = _mms_grid(n)
+            err = 2.0 * s[2 * k + 1]
+            err -= s[2 * k]
+            err -= mf.s_exact(grid.x1(), grid.x2(), MMS_T_END)
+            errors.append(_error_norms(n, err))
+    else:
+        h_or_dt = dts[:-1]
+        errors = [_error_norms(TEMPORAL_GRID, a - b) for a, b in zip(s, s[1:])]
 
     rows: list[ConvergenceRow] = []
-    for lvl, ((n, dt), (e2, em)) in enumerate(zip(plan, errors)):
-        h_or_dt = 1.0 / (n - 1) if study == "spatial" else dt
+    for lvl, (h, (e2, em)) in enumerate(zip(h_or_dt, errors)):
         order_l2 = order_max = None
         if rows:
             prev = rows[-1]
-            log_ratio = math.log(prev.h_or_dt / h_or_dt)
+            log_ratio = math.log(prev.h_or_dt / h)
             order_l2 = math.log(prev.err_l2 / e2) / log_ratio
             order_max = math.log(prev.err_max / em) / log_ratio
-        rows.append(ConvergenceRow(lvl, h_or_dt, e2, em, order_l2, order_max))
+        rows.append(ConvergenceRow(lvl, h, e2, em, order_l2, order_max))
     return ConvergenceTable(study=study, rows=rows)

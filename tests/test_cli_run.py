@@ -209,10 +209,18 @@ class TestSweep:
         # the sweep worker, a direct child of this process
         import sulphsim.diagnostics as diagnostics
 
-        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
-            return float(os.getpid()), float(os.getppid())
+        main_pid = os.getpid()
 
-        monkeypatch.setattr(diagnostics, "run_mms_level", report)
+        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
+            # An s whose error is the worker's pid everywhere, so a level's
+            # error is that pid when both its solutions ran in one process.
+            # A solution on a pool of the sweep worker's own fails its run.
+            if os.getppid() != main_pid:
+                raise RuntimeError(f"solution ran in a grandchild, under {os.getppid()}")
+            grid = diagnostics._mms_grid(n)
+            return mf.s_exact(grid.x1(), grid.x2(), t_end) + os.getpid()
+
+        monkeypatch.setattr(diagnostics, "_mms_solution", report)
         monkeypatch.setenv("SULPHSIM_THREADS", "2")
         cfgs = [small_config(tmp_path / f"m{i}", mode="mms_spatial", mms_levels=3) for i in range(2)]
         results = sweep(cfgs)
@@ -220,10 +228,10 @@ class TestSweep:
         level_pids = []
         for cfg in cfgs:
             rows = (tmp_path / os.path.basename(cfg.out_dir) / "mms_spatial.csv").read_text().split()[1:]
-            pids = {(int(float(row.split(",")[2])), int(float(row.split(",")[3]))) for row in rows}
+            pids = {round(float(row.split(",")[3])) for row in rows}
             assert len(rows) == 3 and len(pids) == 1
             level_pids.extend(pids)
-        assert all(pid != os.getpid() and parent == os.getpid() for pid, parent in level_pids)
+        assert main_pid not in level_pids
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_results_are_slim_and_pickle(self, tmp_path, monkeypatch, workers):
@@ -325,7 +333,7 @@ class TestCli:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        monkeypatch.setattr(diagnostics, "run_mms_level", no_solve)
+        monkeypatch.setattr(diagnostics, "_mms_solution", no_solve)
         monkeypatch.setenv("SULPHSIM_THREADS", "abc")
         manifest = tmp_path / "runs.txt"
         manifest.write_text("")

@@ -215,14 +215,21 @@ class TestMmsMachinery:
         # error norms after 300 steps must not move beyond 1e-12 from those
         # of the same level solved directly.
         mf = ManufacturedFields(PhysParams())
-        t_end = 300 * diagnostics.SPATIAL_DT
-        warm = run_mms_level(mf, n, diagnostics.SPATIAL_DT, t_end)
+        dt = 1e-5
+        warm = run_mms_level(mf, n, dt, 300 * dt)
         monkeypatch.setattr(
             diagnostics, "cg_solve", lambda sys, **_: (spsolve(sys.matrix(), sys.rhs), 0, 0.0)
         )
-        direct = run_mms_level(mf, n, diagnostics.SPATIAL_DT, t_end)
+        direct = run_mms_level(mf, n, dt, 300 * dt)
         assert abs(warm[0] - direct[0]) <= 1e-12
         assert abs(warm[1] - direct[1]) <= 1e-12
+
+    def test_extrapolated_error_matches_a_small_dt_run(self):
+        # The spatial study's 17^2 level extrapolates dt = 1e-3 and 5e-4 in
+        # time; 10^4 steps of dt = 1e-5 leave a time error of about 0.1%.
+        extrapolated = mms_convergence("spatial", 3).rows[0].err_l2
+        small_dt = run_mms_level(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
+        assert extrapolated == pytest.approx(small_dt, rel=1e-3)
 
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
         from sulphsim.model import permeability
@@ -410,9 +417,19 @@ class TestMmsBlocks:
             s = s_new
 
 
+def off_by(mf, n, t_end, value):
+    """An s on the n x n grid whose error at t_end is value at every node.
+
+    Exact to rounding, and so is the error of the spatial study's
+    extrapolation 2*s(dt/2) - s(dt) when both solutions are off by value.
+    """
+    grid = diagnostics._mms_grid(n)
+    return mf.s_exact(grid.x1(), grid.x2(), t_end) + value
+
+
 class TestMmsLevelsInWorkers:
     def test_table_byte_identical_for_one_and_two_workers(self, monkeypatch):
-        # forked workers inherit the patched end time: 10 steps per level
+        # forked workers inherit the patched end time: 10 and 20 steps per level
         monkeypatch.setattr(diagnostics, "MMS_T_END", 10 * diagnostics.SPATIAL_DT)
         csv = {}
         for workers in ("1", "2"):
@@ -421,15 +438,18 @@ class TestMmsLevelsInWorkers:
         assert csv["2"] == csv["1"]
         assert len(csv["1"].strip().split("\n")) == 4
 
-    def test_levels_run_in_worker_processes_in_plan_order(self, monkeypatch):
+    def test_levels_run_in_worker_processes_in_plan_order(self, monkeypatch, tmp_path):
+        # each solution leaves its worker's pid in a file named after it
         def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
-            return float(os.getpid()), float(n)
+            (tmp_path / f"{n}-{dt}").write_text(str(os.getpid()))
+            return off_by(mf, n, t_end, float(n))
 
-        monkeypatch.setattr(diagnostics, "run_mms_level", report)
+        monkeypatch.setattr(diagnostics, "_mms_solution", report)
         monkeypatch.setenv("SULPHSIM_THREADS", "2")
         rows = mms_convergence("spatial", 4).rows
-        assert [r.err_max for r in rows] == [17.0, 33.0, 65.0, 129.0]
-        pids = {int(r.err_l2) for r in rows}
+        assert [r.err_max for r in rows] == pytest.approx([17.0, 33.0, 65.0, 129.0], rel=1e-12)
+        pids = {int(f.read_text()) for f in tmp_path.iterdir()}
+        assert len(list(tmp_path.iterdir())) == 8
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2
 
@@ -438,13 +458,16 @@ class TestMmsLevelsInWorkers:
 
         def record(mf, n, dt, t_end, cg_rel_tol=1e-12):
             started.append((n, dt))
-            return 1.0, 1.0
+            return off_by(mf, n, t_end, dt)
 
-        monkeypatch.setattr(diagnostics, "run_mms_level", record)
+        monkeypatch.setattr(diagnostics, "_mms_solution", record)
         mms_convergence("spatial", 3)
         mms_convergence("temporal", 3)
         dt, n = diagnostics.SPATIAL_DT, diagnostics.TEMPORAL_GRID
-        assert started == [(65, dt), (33, dt), (17, dt), (n, 0.0125), (n, 0.025), (n, 0.05)]
+        assert started == [
+            (65, dt / 2), (65, dt), (33, dt / 2), (33, dt), (17, dt / 2), (17, dt),
+            (n, 0.00625), (n, 0.0125), (n, 0.025), (n, 0.05),
+        ]
 
     @pytest.mark.parametrize(
         "error", [CgBreakdown("p.Ap <= 0 at iteration 3"), CgNonConvergence([1.0, 0.5], 3)]
@@ -453,7 +476,7 @@ class TestMmsLevelsInWorkers:
         def fail(mf, n, dt, t_end, cg_rel_tol=1e-12):
             raise error
 
-        monkeypatch.setattr(diagnostics, "run_mms_level", fail)
+        monkeypatch.setattr(diagnostics, "_mms_solution", fail)
         monkeypatch.setenv("SULPHSIM_THREADS", "2")
         with pytest.raises(type(error)) as exc:
             mms_convergence("spatial", 3)

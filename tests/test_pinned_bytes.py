@@ -23,7 +23,7 @@ from sulphsim.config import parse_config
 from sulphsim.runner import run
 
 DATA = Path(__file__).parent / "data"
-MMS_T_END = 0.005  # 500 steps per level at the spatial study's dt
+MMS_T_END = 0.005  # 5 steps per level at the spatial study's dt, 10 at dt/2
 WEIBULL_CONFIG = (
     "nx = 33\nny = 33\ndt = 0.01\nn_steps = 60\nnu_law = parabolic\n"
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 7\nemit_vtk = false\n"
