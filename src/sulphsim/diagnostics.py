@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_rows, cg_solve
+from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve
 from .grid import Edge, EdgeTag, Grid2D, build_grid
 from .model import ConstraintMode, PhysParams, permeability
 from .pool import map_jobs
@@ -190,12 +190,11 @@ class ManufacturedFields:
         return self._c(self._factors(x1, x2)[0], math.exp(-t))
 
     def r_field(self, x2, t):
-        return self._r(x2, math.exp(-t))
+        return self._edge_factors(x2)[1] * (1.0 - math.exp(-t))
 
-    # The fields in terms of the spatial factors and of e = exp(-t) (and
-    # e2 = exp(-2t)), so that each is evaluated once per call, or once per
-    # set of nodes (see at_nodes()).  e and e2 are floats, or (K, 1) columns
-    # of math.exp values for K times at once (see fields_at_times()).
+    # s and c in terms of the spatial factors and of e = exp(-t), so that
+    # each is evaluated once per call, or once per set of nodes (see
+    # at_nodes()).
 
     def _s(self, cos1, cos2, e):
         return e * cos1 * cos2
@@ -203,24 +202,18 @@ class ManufacturedFields:
     def _c(self, cos1, e):
         return self.p.C0 * (0.5 + 0.25 * cos1 * e)
 
-    def _r(self, x2, e):
-        return self._edge_factors(x2)[1] * (1.0 - e)
-
     def source(self, x1, x2, t):
         """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
-        e = math.exp(-t)
-        return self._source(x1, x2, e, math.exp(-2.0 * t), self._c(self._factors(x1, x2)[0], e))
-
-    def _source(self, x1, x2, e, e2, c):
-        """source(x1, x2, t), given e, e2 and c = c_field(x1, x2, t)."""
         p = self.p
+        e = math.exp(-t)
         cos1, cos2, sin1_sq = self._factors(x1, x2)
         s = self._s(cos1, cos2, e)
+        c = self._c(cos1, e)
         phi = p.A + p.B * c
         c_t = -0.25 * p.C0 * cos1 * e
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        cross = 0.25 * p.B * p.C0 * np.pi**2 * e2 * sin1_sq * cos2
+        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
         return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
     def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
@@ -229,44 +222,14 @@ class ManufacturedFields:
         s_exact has zero normal derivative on every edge, so the required
         compensating flux is g = nu(r*)(s_exact|edge - sbar).
         """
-        return self._robin(coords, self.r_field(coords, t), math.exp(-t))
-
-    def _robin(self, coords, r, e):
-        """robin_override(coords, t), given r = r_field(coords, t) and e."""
         p = self.p
-        nu = np.asarray(permeability(r, p), dtype=float)
-        s_edge = self._s(1.0, self._edge_factors(coords)[0], e)  # cos(pi*0) = 1
+        nu = np.asarray(permeability(self.r_field(coords, t), p), dtype=float)
+        s_edge = self._s(1.0, self._edge_factors(coords)[0], math.exp(-t))  # cos(pi*0) = 1
         return RobinData(
             nu=nu,
-            sbar=np.full(nu.shape, p.sbar),
+            sbar=np.full(len(coords), p.sbar),
             flux=nu * (s_edge - p.sbar),
         )
-
-    def fields_at_times(self, x1, x2, coords, ts) -> tuple[np.ndarray, np.ndarray, RobinData]:
-        """c_field, source and robin_override at each time of ts, one row per time.
-
-        Returns c and source as (K, n) arrays and the Robin data with (K, m)
-        arrays, each row bit for bit the per-time call's result.  Each
-        formula runs once for all K times, in its own operation order.  A
-        subclass that overrides c_field or source, or robin_override or
-        r_field, gets those rows from per-time calls of its own definitions.
-        """
-        base, cls = ManufacturedFields, type(self)
-        e = np.array([math.exp(-t) for t in ts])[:, None]
-        if cls.c_field is base.c_field and cls.source is base.source:
-            c = self._c(self._factors(x1, x2)[0], e)
-            source = self._source(x1, x2, e, np.array([math.exp(-2.0 * t) for t in ts])[:, None], c)
-        else:
-            c = np.empty((len(ts), len(x1)))
-            source = np.empty_like(c)
-            for row, t in enumerate(ts):
-                c[row], source[row] = self.c_field(x1, x2, t), self.source(x1, x2, t)
-        if cls.robin_override is base.robin_override and cls.r_field is base.r_field:
-            robin = self._robin(coords, self._r(coords, e), e)
-        else:  # stacked as given, so that the assembly checks each row's shape
-            per_time = [self.robin_override(coords, t) for t in ts]
-            robin = RobinData(*(np.array([getattr(d, name) for d in per_time]) for name in ("nu", "sbar", "flux")))
-        return c, source, robin
 
 
 @dataclass(frozen=True)
@@ -312,12 +275,6 @@ def _mms_grid(n: int) -> Grid2D:
     return build_grid(n, n, {Edge.LEFT: EdgeTag.EXPOSED})
 
 
-# Entries in each (steps, nodes) array of a block of MMS steps: 69 steps at
-# 17^2, 4 at 65^2 and 1 from 129^2 up.  The block's matrix entries are five
-# times that, so a block holds about 1.4 MB at 65^2.
-_BLOCK_ELEMENTS = 20_000
-
-
 def _mms_solution(
     mf: ManufacturedFields,
     n: int,
@@ -327,14 +284,9 @@ def _mms_solution(
 ) -> np.ndarray:
     """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
-    c and r are prescribed, so everything in the s-systems that s does not
-    enter (c, the source, the Robin data, the matrix, phi(c) and the model
-    coefficients) is built for a block of consecutive steps at once (see
-    bulk.assemble_s_rows); each step then adds its V*phi(c^n)*s^n/dt part
-    and solves.  The systems are bit for bit those built one step at a
-    time.  Each step's CG starts from the linear extrapolation
-    2*s^n - s^(n-1) of the last two steps; the first step starts from s^0,
-    which 2*s^0 - s^0 equals exactly.
+    c and r are prescribed.  Each step's CG starts from the linear
+    extrapolation 2*s^n - s^(n-1) of the last two steps; the first step
+    starts from s^0, which 2*s^0 - s^0 equals exactly.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")
@@ -353,18 +305,24 @@ def _mms_solution(
     c_old = mf.c_field(x1, x2, 0.0)
     r = np.zeros(len(trace))  # unused: the Robin data is overridden
     s_prev = s
-    block = max(1, _BLOCK_ELEMENTS // grid.n_nodes)
-    for first in range(1, n_steps + 1, block):
-        ts = [k * dt for k in range(first, min(first + block, n_steps + 1))]
-        c_new, source, robin = mf.fields_at_times(x1, x2, trace.coords, ts)
-        rows = assemble_s_rows(grid, c_old, c_new, r, dt, mf.p, source, robin)
-        for k in range(len(ts)):
-            sys = rows.system(k, s)
-            x0 = 2.0 * s
-            x0 -= s_prev
-            s_prev = s
-            s, _, _ = cg_solve(sys, x0=x0, rel_tol=cg_rel_tol)
-        c_old = c_new[-1]
+    for k in range(1, n_steps + 1):
+        t = k * dt
+        c_new = mf.c_field(x1, x2, t)
+        sys = assemble_s_system(
+            grid,
+            FieldState(t=t - dt, s=s, c=c_old, r=r, xi=r),
+            c_new,
+            r_new=r,
+            dt=dt,
+            p=mf.p,
+            source=mf.source(x1, x2, t),
+            robin_data=mf.robin_override(trace.coords, t),
+        )
+        x0 = 2.0 * s
+        x0 -= s_prev
+        s_prev = s
+        s, _, _ = cg_solve(sys, x0=x0, rel_tol=cg_rel_tol)
+        c_old = c_new
     return s
 
 

@@ -356,104 +356,3 @@ class TestFiveSlotRows:
         sys.rhs = sys.rhs[:-1]
         with pytest.raises(ValueError, match="do not form a float64 CSR matrix"):
             bulk._matvec(sys)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def assert_same_system(got, want):
-    assert same_bits(got.data, want.data)
-    assert same_bits(got.rhs, want.rhs)
-    assert same_bits(got.model_coefs, want.model_coefs)
-
-
-class TestSystemRows:
-    """K consecutive steps assembled at once against one assemble_s_system per step."""
-
-    def weibull_like(self, with_data):
-        # a non-square grid, rough Weibull rugosity and calcite/SO2 fields
-        # drawn at random for K = 5 steps
-        grid = build_grid(13, 9)
-        p = PhysParams()
-        rng = np.random.default_rng(21)
-        k, n, m = 5, grid.n_nodes, len(grid.exposed_trace())
-        c_old = rng.uniform(0.0, p.C0, n)
-        c_new = rng.uniform(0.0, p.C0, (k, n))
-        s_old = rng.uniform(0.0, 1.0, (k, n))
-        r = 0.2 * rng.weibull(2.0, (k, m))
-        source = robin = None
-        if with_data:
-            source = rng.standard_normal((k, n))
-            robin = RobinData(rng.uniform(0.0, 2.0, (k, m)), rng.uniform(0.0, 1.0, (k, m)), rng.standard_normal((k, m)))
-        return grid, p, 1e-2, c_old, c_new, s_old, r, source, robin
-
-    def mms(self, with_data):
-        from sulphsim import diagnostics
-
-        mf = diagnostics.ManufacturedFields(PhysParams())
-        grid = diagnostics._mms_grid(17)
-        x1, x2, coords = grid.x1(), grid.x2(), grid.exposed_trace().coords
-        dt = diagnostics.SPATIAL_DT
-        ts = [k * dt for k in range(40, 44)]
-        c_new, source, robin = mf.fields_at_times(x1, x2, coords, ts)
-        s_old = np.array([mf.s_exact(x1, x2, t - dt) for t in ts])
-        r = np.zeros((len(ts), len(coords)))
-        if not with_data:
-            source = robin = None
-        return grid, mf.p, dt, mf.c_field(x1, x2, ts[0] - dt), c_new, s_old, r, source, robin
-
-    @pytest.mark.parametrize("with_data", [False, True])
-    @pytest.mark.parametrize("case", ["weibull_like", "mms"])
-    def test_rows_match_single_assembly_bit_for_bit(self, case, with_data):
-        grid, p, dt, c_old, c_new, s_old, r, source, robin = getattr(self, case)(with_data)
-        rows = bulk.assemble_s_rows(grid, c_old, c_new, r, dt, p, source, robin)
-        for k in range(len(c_new)):
-            state = FieldState(0.0, s_old[k], c_old if k == 0 else c_new[k - 1], r[k], r[k])
-            single = assemble_s_system(
-                grid, state, c_new[k], r[k], dt, p,
-                source=None if source is None else source[k],
-                robin_data=None if robin is None else RobinData(robin.nu[k], robin.sbar[k], robin.flux[k]),
-            )
-            assert_same_system(rows.system(k, s_old[k]), single)
-            assert same_bits(rows.phi[k], porosity(c_new[k], p))
-
-    def test_rows_reject_what_single_assembly_rejects(self):
-        grid, p, dt, c_old, c_new, s_old, r, source, robin = self.weibull_like(True)
-        bad = c_new.copy()
-        bad[3, 7] = np.nan
-        with pytest.raises(ValueError, match="^non-finite values in c_new$"):
-            bulk.assemble_s_rows(grid, c_old, bad, r, dt, p, source, robin)
-        with pytest.raises(ValueError, match="^non-finite values in c_old$"):
-            bulk.assemble_s_rows(grid, np.full_like(c_old, np.inf), c_new, r, dt, p, source, robin)
-        bad[3, 7] = 2.0 * p.C0
-        with pytest.raises(ValueError, match="calcite density outside"):
-            bulk.assemble_s_rows(grid, c_old, bad, r, dt, p, source, robin)
-        rows = bulk.assemble_s_rows(grid, c_old, c_new, r, dt, p, source, robin)
-        with pytest.raises(ValueError, match="^non-finite values in s_old$"):
-            rows.system(2, np.full_like(c_old, np.nan))
-        neg = RobinData(-robin.nu, robin.sbar, robin.flux)
-        with pytest.raises(ValueError, match="negative boundary permeability"):
-            bulk.assemble_s_rows(grid, c_old, c_new, r, dt, p, source, neg)
-        with pytest.raises(ValueError, match="dt must be > 0"):
-            bulk.assemble_s_rows(grid, c_old, c_new, r, 0.0, p, source, robin)
-
-    def test_rows_reject_data_that_would_broadcast(self):
-        grid, p, dt, c_old, c_new, s_old, r, source, robin = self.weibull_like(True)
-        k, m = r.shape
-        with pytest.raises(ValueError, match=r"source has shape \(117,\), expected \(5, 117\)"):
-            bulk.assemble_s_rows(grid, c_old, c_new, r, dt, p, source[0], robin)
-        with pytest.raises(ValueError, match=r"r_new has shape \(9,\), expected \(5, 9\)"):
-            bulk.assemble_s_rows(grid, c_old, c_new, r[0], dt, p)
-        short = RobinData(robin.nu[:, :1], robin.sbar, robin.flux)
-        with pytest.raises(ValueError, match=r"robin_data\.nu has shape \(5, 1\), expected \(5, 9\)"):
-            bulk.assemble_s_rows(grid, c_old, c_new, r, dt, p, source, short)
-
-    @pytest.mark.parametrize("edge", list(Edge))
-    def test_trace_slice_names_the_trace_nodes(self, edge):
-        tags = {e: EdgeTag.ISOLATED for e in Edge}
-        tags[edge] = EdgeTag.EXPOSED
-        grid = build_grid(7, 5, tags)
-        pat = bulk._pattern(grid)
-        assert np.array_equal(np.arange(grid.n_nodes)[pat.trace_nodes], grid.exposed_trace().indices)

@@ -231,6 +231,15 @@ class TestMmsMachinery:
         small_dt = run_mms_level(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
         assert extrapolated == pytest.approx(small_dt, rel=1e-3)
 
+    def test_bad_overridden_robin_data_is_rejected(self):
+        class ShortRobin(ManufacturedFields):
+            def robin_override(self, coords, t):
+                full = super().robin_override(coords, t)
+                return RobinData(full.nu[:1], full.sbar, full.flux)
+
+        with pytest.raises(ValueError, match=r"robin_data\.nu has shape \(1,\)"):
+            run_mms_level(ShortRobin(PhysParams()), 9, 1e-3, 1e-2)
+
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
         from sulphsim.model import permeability
 
@@ -323,98 +332,6 @@ class TestMmsLevelArguments:
     def test_zero_end_time_takes_no_step(self):
         mf = ManufacturedFields(PhysParams())
         assert run_mms_level(mf, 9, 0.01, 0.0) == (0.0, 0.0)
-
-
-def with_block(monkeypatch, n, steps):
-    """Make run_mms_level assemble blocks of the given number of steps on n x n grids."""
-    monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", steps * n * n)
-
-
-class TestMmsBlocks:
-    """The s-free terms of a level are built a block of steps at a time."""
-
-    @pytest.mark.parametrize("n", [17, 33])
-    def test_block_size_changes_nothing(self, n, monkeypatch):
-        # 10 steps: blocks of 1, of 3 (the last one short) and one block
-        mf = ManufacturedFields(PhysParams())
-        dt = diagnostics.SPATIAL_DT
-        results = []
-        for steps in (1, 3, 11):
-            with_block(monkeypatch, n, steps)
-            results.append(run_mms_level(mf, n, dt, 10 * dt))
-        assert results[0] == results[1] == results[2]
-
-    def test_block_size_changes_nothing_for_overridden_fields(self, monkeypatch):
-        mf = ConstantFields(PhysParams())
-        results = []
-        for steps in (1, 3, 11):
-            with_block(monkeypatch, 9, steps)
-            results.append(run_mms_level(mf, 9, dt=1e-3, t_end=1e-2))
-        assert results[0] == results[1] == results[2]
-        assert results[0][1] < 1e-11
-
-    def test_bad_overridden_robin_data_is_rejected(self):
-        class ShortRobin(ManufacturedFields):
-            def robin_override(self, coords, t):
-                full = super().robin_override(coords, t)
-                return RobinData(full.nu[:1], full.sbar, full.flux)
-
-        with pytest.raises(ValueError, match=r"robin_data\.nu has shape \(\d+, 1\)"):
-            run_mms_level(ShortRobin(PhysParams()), 9, 1e-3, 1e-2)
-
-    class SlowerRugosity(ManufacturedFields):
-        def r_field(self, x2, t):
-            return 0.5 * super().r_field(x2, t)
-
-    @pytest.mark.parametrize("cls", [ManufacturedFields, ConstantFields, SlowerRugosity])
-    def test_fields_at_times_match_per_time_calls_bit_for_bit(self, cls):
-        grid = diagnostics._mms_grid(17)
-        x1, x2, coords = grid.x1(), grid.x2(), grid.exposed_trace().coords
-        mf = cls(PhysParams()).at_nodes(x1, x2, coords)
-        # np.exp differs from math.exp in the last ulp at some of these times
-        ts = [k * diagnostics.SPATIAL_DT for k in range(1, 101)] + [0.05, 0.1]
-        c, source, robin = mf.fields_at_times(x1, x2, coords, ts)
-        for k, t in enumerate(ts):
-            assert c[k].tobytes() == mf.c_field(x1, x2, t).tobytes()
-            assert source[k].tobytes() == mf.source(x1, x2, t).tobytes()
-            want = mf.robin_override(coords, t)
-            for name in ("nu", "sbar", "flux"):
-                assert getattr(robin, name)[k].tobytes() == getattr(want, name).tobytes()
-
-    def test_systems_handed_to_cg_stay_as_built(self, monkeypatch):
-        # Blocks of 3 over 10 steps: every system a caller was given must
-        # still equal a fresh one-step assembly after the level, so no
-        # later block wrote into one handed out before.
-        n, dt = 17, diagnostics.SPATIAL_DT
-        with_block(monkeypatch, n, 3)
-        held = []
-        solve = diagnostics.cg_solve
-
-        def recording(sys, **kwargs):
-            out = solve(sys, **kwargs)
-            held.append((sys, out[0]))
-            return out
-
-        monkeypatch.setattr(diagnostics, "cg_solve", recording)
-        mf = ManufacturedFields(PhysParams())
-        run_mms_level(mf, n, dt, 10 * dt)
-        assert len(held) == 10
-
-        grid = diagnostics._mms_grid(n)
-        x1, x2, coords = grid.x1(), grid.x2(), grid.exposed_trace().coords
-        r = np.zeros(len(coords))
-        s = mf.s_exact(x1, x2, 0.0)
-        for k, (sys, s_new) in enumerate(held, start=1):
-            t = k * dt
-            state = FieldState(t - dt, s, mf.c_field(x1, x2, (k - 1) * dt), r, r)
-            fresh = assemble_s_system(
-                grid, state, mf.c_field(x1, x2, t), r, dt, mf.p,
-                source=mf.source(x1, x2, t), robin_data=mf.robin_override(coords, t),
-            )
-            assert sys.data.tobytes() == fresh.data.tobytes()
-            assert sys.rhs.tobytes() == fresh.rhs.tobytes()
-            assert sys.model_coefs == fresh.model_coefs
-            s = s_new
 
 
 def off_by(mf, n, t_end, value):
