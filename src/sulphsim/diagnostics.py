@@ -326,9 +326,9 @@ def _mms_solution(
     return s
 
 
-def _error_norms(n: int, err: np.ndarray) -> tuple[float, float]:
-    """The discrete L2 norm (dual-cell volumes) and the max norm of err on the n x n grid."""
-    vols = _mms_grid(n).node_volumes()
+def _error_norms(grid: Grid2D, err: np.ndarray) -> tuple[float, float]:
+    """The discrete L2 norm (dual-cell volumes) and the max norm of err on grid."""
+    vols = grid.node_volumes()
     return float(np.sqrt(np.sum(vols * err**2))), float(np.abs(err).max())
 
 
@@ -345,13 +345,13 @@ def run_mms_level(
     """
     s = _mms_solution(mf, n, dt, t_end, cg_rel_tol)
     grid = _mms_grid(n)
-    return _error_norms(n, s - mf.s_exact(grid.x1(), grid.x2(), t_end))
+    return _error_norms(grid, s - mf.s_exact(grid.x1(), grid.x2(), t_end))
 
 
-def _mms_job(job: tuple[ManufacturedFields, int, float]) -> np.ndarray:
-    """s at MMS_T_END for one (fields, n, dt) solution of a study."""
-    mf, n, dt = job
-    return _mms_solution(mf, n, dt, MMS_T_END)
+def _mms_job(job: tuple[ManufacturedFields, int, tuple[float, ...]]) -> list[np.ndarray]:
+    """s at MMS_T_END on the n x n grid for each dt of one (fields, n, dts) job."""
+    mf, n, dts = job
+    return [_mms_solution(mf, n, dt, MMS_T_END) for dt in dts]
 
 
 SPATIAL_DT = 1e-3
@@ -388,29 +388,34 @@ def mms_convergence(
         raise ValueError("convergence study needs at least 3 levels")
     if study == "spatial":
         sizes = [16 * 2**k + 1 for k in range(levels)]  # 17, 33, 65, ...
-        solves = [(n, dt) for n in sizes for dt in (SPATIAL_DT, SPATIAL_DT / 2)]
+        plan = [(n, (SPATIAL_DT, SPATIAL_DT / 2)) for n in sizes]
     elif study == "temporal":
         dts = [TEMPORAL_DT0 / 2**k for k in range(levels + 1)]
-        solves = [(TEMPORAL_GRID, dt) for dt in dts]
+        plan = [(TEMPORAL_GRID, tuple(dts))]
     else:
         raise ValueError(f"unknown study {study!r}")
     mf = ManufacturedFields(p if p is not None else PhysParams())
-    # The last solution, on the finest grid or with the smallest dt, costs
-    # the most, so it is submitted first; the solutions come back in order.
-    s = map_jobs(_mms_job, [(mf, n, dt) for n, dt in reversed(solves)])[::-1]
+    # One job per grid: OpenBLAS threads the preconditioner's GEMMs at 129^2
+    # in every process, and two such jobs at once oversubscribe the cores
+    # (with a job per solution and 2 workers, the 4-level spatial study took
+    # 3 to 24 s against 2.5 s serially).  The finest grid costs the most, so
+    # its job is submitted first; the solutions come back in plan order.
+    s = map_jobs(_mms_job, [(mf, n, dts) for n, dts in reversed(plan)])[::-1]
 
     if study == "spatial":
         h_or_dt = [1.0 / (n - 1) for n in sizes]
         errors = []
-        for k, n in enumerate(sizes):
+        for n, (s_dt, s_half) in zip(sizes, s):
             grid = _mms_grid(n)
-            err = 2.0 * s[2 * k + 1]
-            err -= s[2 * k]
+            err = 2.0 * s_half
+            err -= s_dt
             err -= mf.s_exact(grid.x1(), grid.x2(), MMS_T_END)
-            errors.append(_error_norms(n, err))
+            errors.append(_error_norms(grid, err))
     else:
+        (s,) = s
         h_or_dt = dts[:-1]
-        errors = [_error_norms(TEMPORAL_GRID, a - b) for a, b in zip(s, s[1:])]
+        grid = _mms_grid(TEMPORAL_GRID)
+        errors = [_error_norms(grid, a - b) for a, b in zip(s, s[1:])]
 
     rows: list[ConvergenceRow] = []
     for lvl, (h, (e2, em)) in enumerate(zip(h_or_dt, errors)):

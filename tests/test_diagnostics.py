@@ -382,8 +382,8 @@ class TestMmsLevelsInWorkers:
         mms_convergence("temporal", 3)
         dt, n = diagnostics.SPATIAL_DT, diagnostics.TEMPORAL_GRID
         assert started == [
-            (65, dt / 2), (65, dt), (33, dt / 2), (33, dt), (17, dt / 2), (17, dt),
-            (n, 0.00625), (n, 0.0125), (n, 0.025), (n, 0.05),
+            (65, dt), (65, dt / 2), (33, dt), (33, dt / 2), (17, dt), (17, dt / 2),
+            (n, 0.05), (n, 0.025), (n, 0.0125), (n, 0.00625),
         ]
 
     @pytest.mark.parametrize(
