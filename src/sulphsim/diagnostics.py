@@ -381,8 +381,8 @@ def mms_convergence(
     one grid, in which the spatial error cancels exactly; the orders are
     the observed orders of those differences.
 
-    The solutions run in up to SULPHSIM_THREADS worker processes (see
-    pool.map_jobs); the table does not depend on how many.
+    Each grid's solutions run as one job, in up to SULPHSIM_THREADS worker
+    processes (see pool.map_jobs); the table does not depend on how many.
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 levels")
@@ -400,19 +400,19 @@ def mms_convergence(
     # (with a job per solution and 2 workers, the 4-level spatial study took
     # 3 to 24 s against 2.5 s serially).  The finest grid costs the most, so
     # its job is submitted first; the solutions come back in plan order.
-    s = map_jobs(_mms_job, [(mf, n, dts) for n, dts in reversed(plan)])[::-1]
+    solved = map_jobs(_mms_job, [(mf, n, dts) for n, dts in reversed(plan)])[::-1]
 
     if study == "spatial":
         h_or_dt = [1.0 / (n - 1) for n in sizes]
         errors = []
-        for n, (s_dt, s_half) in zip(sizes, s):
+        for n, (s_dt, s_half) in zip(sizes, solved):
             grid = _mms_grid(n)
             err = 2.0 * s_half
             err -= s_dt
             err -= mf.s_exact(grid.x1(), grid.x2(), MMS_T_END)
             errors.append(_error_norms(grid, err))
     else:
-        (s,) = s
+        (s,) = solved
         h_or_dt = dts[:-1]
         grid = _mms_grid(TEMPORAL_GRID)
         errors = [_error_norms(grid, a - b) for a, b in zip(s, s[1:])]
