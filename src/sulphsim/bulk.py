@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -504,9 +504,16 @@ def cg_solve(
     model solve for a grid system and Jacobi for one built by hand.
     Returns (solution, iterations, final true residual norm); stops when
     ||b - A x||_2 <= rel_tol * ||b||_2.  The recursive residual controls
-    the iteration and the true residual is verified before returning.
-    Raises CgBreakdown at once on a non-finite residual or p.Ap <= 0, and
-    CgNonConvergence after max_iter iterations.
+    the iteration and the true residual is verified before returning.  A
+    start x0 whose residual is nonzero is refined by at least one
+    iteration even if it already meets the tolerance, so that an
+    extrapolated start is never returned as it came; one whose residual
+    is exactly 0 is returned at once, with 0 iterations.  A right-hand
+    side whose norm is outside [1e-100, 1e100], where the squares in the
+    norms would under- or overflow, is solved scaled by a power of 2,
+    which every iterate follows exactly.  Raises CgBreakdown at once on a
+    non-finite residual or p.Ap <= 0, and CgNonConvergence after max_iter
+    iterations.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0,1) (got {rel_tol})")
@@ -516,9 +523,19 @@ def cg_solve(
     matvec = _matvec(sys)
     precond = _preconditioner(sys)
     b = sys.rhs
-    bnorm = math.sqrt(b @ b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
+    with np.errstate(over="ignore"):  # a huge b is rescaled below
+        bnorm = math.sqrt(b @ b)
+    if not 1e-100 <= bnorm <= 1e100 and np.isfinite(b).all():
+        if not b.any():
+            return np.zeros(n), 0, 0.0
+        shift = -math.frexp(np.abs(b).max())[1]
+        x, k, res = cg_solve(
+            replace(sys, rhs=np.ldexp(b, shift)),
+            None if x0 is None else np.ldexp(x0, shift),
+            rel_tol,
+            max_iter,
+        )
+        return np.ldexp(x, -shift), k, math.ldexp(res, -shift)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - matvec(x)
@@ -536,7 +553,7 @@ def cg_solve(
                 f"non-finite residual norm at iteration {k} "
                 "(NaN or inf in the matrix, right-hand side or start vector)"
             )
-        if history[-1] <= target:
+        if history[-1] <= target and (k or history[-1] == 0.0):
             true_r = b - matvec(x)
             tn = math.sqrt(true_r @ true_r)
             if tn <= target:
@@ -577,9 +594,11 @@ class BalanceTerms:
     identity obtained by summing the volume-scaled scheme over all nodes;
     the traces record the surface inputs of the final rugosity update.
     cg_iterations and cg_residual hold one entry per Picard sweep.  s_in
-    is the step's input s and s_sweeps each sweep's solution (the arrays
-    themselves, not copies): the solution history that warm-starts the
-    next step's solves.
+    is the step's input s and s_sweeps each sweep's solution, and
+    s_in_prev and s_sweeps_prev are the same of the step before, when
+    there was one (the arrays themselves, not copies, and never that
+    step's BalanceTerms, which would keep every earlier step alive): the
+    solution history that warm-starts the next step's solves.
     """
 
     accumulation: float
@@ -593,6 +612,33 @@ class BalanceTerms:
     cg_residual: tuple[float, ...] = ()
     s_in: np.ndarray = field(default_factory=lambda: np.zeros(0))
     s_sweeps: tuple[np.ndarray, ...] = ()
+    s_in_prev: np.ndarray | None = None
+    s_sweeps_prev: tuple[np.ndarray, ...] = ()
+
+
+def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
+    """Where a solve starts, from its quantity's values at the last steps.
+
+    values holds up to three of them, newest first, and the start is
+    their polynomial extrapolation one step ahead: v0, 2*v0 - v1 or
+    3*(v0 - v1) + v2, the last of second order in the step (Fischer's
+    history-based initial guess).  base, when given, is added to it.
+    step() and the MMS harness take their s-solve starts from here;
+    cg_solve copies its start, so with one value and no base v0 itself
+    is returned.
+    """
+    if len(values) == 1:
+        return values[0] if base is None else np.add(values[0], base)
+    if len(values) == 2:
+        x = 2.0 * values[0]
+        x -= values[1]
+    else:
+        x = np.subtract(values[0], values[1])
+        x *= 3.0
+        x += values[2]
+    if base is not None:
+        x += base
+    return x
 
 
 def step(
@@ -614,13 +660,15 @@ def step(
     computed once.
 
     history, the previous step's BalanceTerms, only chooses where each
-    sweep's CG starts (Fischer's history-based initial guess in its
-    simplest form).  Sweep 1 starts from 2*s^n - s^(n-1) and sweep k >= 2
-    from s_(k-1)^(n+1) + (s_k^n - s_(k-1)^n), the new sweep k-1 solution
-    plus the previous step's sweep-k correction.  Without history, sweep 1
-    starts from s^n and sweep k from s_(k-1)^(n+1).  Either way each solve
-    stops at the same tolerance, so the start moves the result only within
-    it.
+    sweep's CG starts (see history_start).  Sweep 1 extrapolates s^n,
+    s^(n-1) and s^(n-2): from 3*(s^n - s^(n-1)) + s^(n-2) once the history
+    holds two earlier steps, else from 2*s^n - s^(n-1).  Sweep k >= 2
+    starts from the new sweep k-1 solution s_(k-1)^(n+1) plus the
+    extrapolated sweep-k correction d_k = s_k - s_(k-1): 2*d_k^n -
+    d_k^(n-1), or d_k^n with one step of history.  Without history, sweep
+    1 starts from s^n and sweep k from s_(k-1)^(n+1).  Either way each
+    solve stops at the same tolerance, so the start moves the result only
+    within it.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
@@ -653,11 +701,15 @@ def step(
         sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
         x0 = s_new
         if history is not None and k == 0:
-            x0 = 2.0 * state.s
-            x0 -= history.s_in
+            s_hist = (state.s, history.s_in, history.s_in_prev)
+            x0 = history_start(s_hist if history.s_in_prev is not None else s_hist[:2])
         elif history is not None and k < len(history.s_sweeps):
-            x0 = history.s_sweeps[k] - history.s_sweeps[k - 1]
-            x0 += s_new
+            d_hist = [
+                sw[k] - sw[k - 1]
+                for sw in (history.s_sweeps, history.s_sweeps_prev)
+                if k < len(sw)
+            ]
+            x0 = history_start(d_hist, base=s_new)
         s_new, n_iter, resid = cg_solve(sys, x0=x0, rel_tol=STEP_CG_TOL)
         sweeps.append(s_new)
         iters.append(n_iter)
@@ -688,5 +740,7 @@ def step(
         cg_residual=tuple(resids),
         s_in=state.s,
         s_sweeps=tuple(sweeps),
+        s_in_prev=None if history is None else history.s_in,
+        s_sweeps_prev=() if history is None else history.s_sweeps,
     )
     return new_state, terms

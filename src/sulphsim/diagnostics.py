@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve
+from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve, history_start
 from .grid import Edge, EdgeTag, Grid2D, build_grid
 from .model import ConstraintMode, PhysParams, permeability
 from .pool import map_jobs
@@ -284,9 +284,10 @@ def _mms_solution(
 ) -> np.ndarray:
     """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
-    c and r are prescribed.  Each step's CG starts from the linear
-    extrapolation 2*s^n - s^(n-1) of the last two steps; the first step
-    starts from s^0, which 2*s^0 - s^0 equals exactly.
+    c and r are prescribed.  Each step's CG starts from the extrapolation
+    of the last steps' solutions (see bulk.history_start): step 1 from
+    s^0, step 2 from 2*s^1 - s^0 and every later step from
+    3*(s^n - s^(n-1)) + s^(n-2).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")
@@ -304,7 +305,7 @@ def _mms_solution(
     s = mf.s_exact(x1, x2, 0.0)
     c_old = mf.c_field(x1, x2, 0.0)
     r = np.zeros(len(trace))  # unused: the Robin data is overridden
-    s_prev = s
+    s_hist = (s,)  # the last solutions, newest first
     for k in range(1, n_steps + 1):
         t = k * dt
         c_new = mf.c_field(x1, x2, t)
@@ -318,10 +319,8 @@ def _mms_solution(
             source=mf.source(x1, x2, t),
             robin_data=mf.robin_override(trace.coords, t),
         )
-        x0 = 2.0 * s
-        x0 -= s_prev
-        s_prev = s
-        s, _, _ = cg_solve(sys, x0=x0, rel_tol=cg_rel_tol)
+        s, _, _ = cg_solve(sys, x0=history_start(s_hist), rel_tol=cg_rel_tol)
+        s_hist = (s,) + s_hist[:2]
         c_old = c_new
     return s
 

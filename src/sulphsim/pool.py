@@ -34,8 +34,10 @@ def map_jobs(fn, jobs: list) -> list:
     inside a worker process, the jobs run one after another in the calling
     process: a pool in every worker would oversubscribe the cores.  fn must
     be a module-level function, and jobs, results and the exceptions fn
-    raises must pickle.  The first exception reaches the caller as itself,
-    and jobs not yet started are cancelled.
+    raises must pickle; an fn that does not pickle is a TypeError before
+    any worker starts (the pool would wait on it for ever).  The first
+    exception reaches the caller as itself, and jobs not yet started are
+    cancelled.
     """
     workers = min(worker_count(), len(jobs))
     if workers > 1:
@@ -43,9 +45,18 @@ def map_jobs(fn, jobs: list) -> list:
         # parent's module state instead of a fresh import.  Imported here,
         # so that importing sulphsim does not pay for multiprocessing.
         import multiprocessing
+        import pickle
         from concurrent.futures import ProcessPoolExecutor
 
         if multiprocessing.parent_process() is None:
+            try:
+                pickle.dumps(fn)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                name = getattr(fn, "__qualname__", repr(fn))
+                raise TypeError(
+                    f"map_jobs runs {name} in worker processes, but it does not pickle "
+                    f"({exc}); pass a module-level function"
+                ) from exc
             pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork")
             )

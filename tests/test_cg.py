@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -46,6 +47,21 @@ class TestBasics:
         assert np.array_equal(x, np.zeros(4))
         assert iters == 0 and res == 0.0
 
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_tiny_and_huge_rhs_scale_exactly(self, shift):
+        # b scaled by 2^-600 (its squares underflow, so b.b == 0) or 2^600
+        # (they overflow): the solve is the unscaled one, scaled.
+        rng = np.random.default_rng(17)
+        m = rng.standard_normal((20, 20))
+        a = m @ m.T + 20 * np.eye(20)
+        b = rng.standard_normal(20)
+        x0 = rng.standard_normal(20)
+        x, iters, res = cg_solve(csr_from_dense(a, b), x0=x0, rel_tol=1e-12)
+        got = cg_solve(csr_from_dense(a, np.ldexp(b, shift)), x0=np.ldexp(x0, shift), rel_tol=1e-12)
+        assert np.array_equal(got[0], np.ldexp(x, shift))
+        assert got[1] == iters
+        assert got[2] == math.ldexp(res, shift)
+
     def test_rejects_bad_tolerance(self):
         sys = csr_from_dense(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):
@@ -85,6 +101,34 @@ class TestAgainstDenseSolve:
         _, iters_cold, _ = cg_solve(sys, rel_tol=1e-10)
         _, iters_warm, _ = cg_solve(sys, x0=x_exact + 1e-12, rel_tol=1e-10)
         assert iters_warm < iters_cold
+
+    def test_start_meeting_the_tolerance_is_refined_once(self):
+        # A start already within the tolerance takes one PCG iteration,
+        # which does not raise the true residual.
+        rng = np.random.default_rng(16)
+        m = rng.standard_normal((40, 40))
+        a = m @ m.T + 40 * np.eye(40)
+        b = rng.standard_normal(40)
+        sys = csr_from_dense(a, b)
+        x_exact = np.linalg.solve(a, b)
+        delta = rng.standard_normal(40)
+        tol = 1e-6
+        delta *= 0.5 * tol * np.linalg.norm(b) / np.linalg.norm(a @ delta)
+        x0 = x_exact + delta
+        start_residual = np.linalg.norm(b - a @ x0)
+        assert 0 < start_residual <= tol * np.linalg.norm(b)
+        x, iters, res = cg_solve(sys, x0=x0, rel_tol=tol)
+        assert iters == 1
+        assert res == pytest.approx(np.linalg.norm(b - a @ x), rel=1e-6)
+        assert res <= start_residual
+
+    def test_start_with_zero_residual_returns_at_once(self):
+        # b - A x0 is exactly 0: no iteration, and no p.Ap = 0 breakdown.
+        d = np.array([2.0, 4.0, 8.0])
+        sys = csr_from_dense(np.diag(d), d)
+        x, iters, res = cg_solve(sys, x0=np.ones(3), rel_tol=1e-12)
+        assert np.array_equal(x, np.ones(3))
+        assert iters == 0 and res == 0.0
 
     def test_residual_criterion(self):
         rng = np.random.default_rng(15)

@@ -13,6 +13,7 @@ from sulphsim.bulk import (
     FieldState,
     RobinData,
     assemble_s_system,
+    cg_solve,
     step,
 )
 from sulphsim.diagnostics import (
@@ -211,8 +212,10 @@ class TestMmsMachinery:
 
     @pytest.mark.parametrize("n", [17, 33])
     def test_warm_started_cg_matches_direct_solves(self, n, monkeypatch):
-        # Each CG solve starts from the extrapolation 2*s^n - s^(n-1); the
-        # error norms after 300 steps must not move beyond 1e-12 from those
+        # Each CG solve starts from the extrapolation of the last solutions
+        # (bulk.history_start), from step 3 on of second order, and is
+        # refined by at least one iteration; the error norms after 300
+        # steps must not move beyond 1e-12 from those
         # of the same level solved directly.
         mf = ManufacturedFields(PhysParams())
         dt = 1e-5
@@ -223,6 +226,30 @@ class TestMmsMachinery:
         direct = run_mms_level(mf, n, dt, 300 * dt)
         assert abs(warm[0] - direct[0]) <= 1e-12
         assert abs(warm[1] - direct[1]) <= 1e-12
+
+    def test_solves_start_from_the_extrapolated_history(self, monkeypatch):
+        # s^0, then 2 s^1 - s^0, then 3 (s^n - s^(n-1)) + s^(n-2) from step 3 on
+        starts, solutions = [], []
+
+        def recording(sys, x0=None, **kwargs):
+            starts.append(np.array(x0))
+            out = cg_solve(sys, x0=x0, **kwargs)
+            solutions.append(out[0])
+            return out
+
+        monkeypatch.setattr(diagnostics, "cg_solve", recording)
+        mf = ManufacturedFields(PhysParams())
+        dt = diagnostics.SPATIAL_DT
+        s = diagnostics._mms_solution(mf, 17, dt, 5 * dt)
+        grid = diagnostics._mms_grid(17)
+        s0 = mf.s_exact(grid.x1(), grid.x2(), 0.0)
+        s1, s2, s3, s4, s5 = solutions
+        assert s is s5
+        assert np.array_equal(starts[0], s0)
+        assert np.array_equal(starts[1], 2.0 * s1 - s0)
+        assert np.array_equal(starts[2], 3.0 * (s2 - s1) + s0)
+        assert np.array_equal(starts[3], 3.0 * (s3 - s2) + s1)
+        assert np.array_equal(starts[4], 3.0 * (s4 - s3) + s2)
 
     def test_extrapolated_error_matches_a_small_dt_run(self):
         # The spatial study's 17^2 level extrapolates dt = 1e-3 and 5e-4 in

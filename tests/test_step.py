@@ -221,9 +221,18 @@ class TestWarmStart:
         assert np.array_equal(starts[2], st1.s)
         assert np.array_equal(starts[3], t2.s_sweeps[0])
         # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
-        _, t3 = step(st2, cfg.dt, grid, p, history=t2)
+        st3, t3 = step(st2, cfg.dt, grid, p, history=t2)
         assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
         assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
+        # with two earlier steps: 3 (s^n - s^(n-1)) + s^(n-2), then sweep 1's
+        # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
+        _, t4 = step(st3, cfg.dt, grid, p, history=t3)
+        assert t4.s_in_prev is st2.s and t4.s_sweeps_prev is t3.s_sweeps
+        assert not any(isinstance(v, bulk.BalanceTerms) for v in vars(t4).values())
+        d3 = t3.s_sweeps[1] - t3.s_sweeps[0]
+        d2 = t2.s_sweeps[1] - t2.s_sweeps[0]
+        assert np.array_equal(starts[6], 3.0 * (st3.s - st2.s) + st1.s)
+        assert np.array_equal(starts[7], t4.s_sweeps[0] + (2.0 * d3 - d2))
 
     def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
         text = weibull_text(33, seed=7, n_steps=60)
@@ -250,4 +259,4 @@ class TestWarmStart:
         _, cold = march(st, cfg, grid, p, warm=False)
         _, warm = march(st, cfg, grid, p, warm=True)
         assert cold == [253, 204]
-        assert warm == [222, 172]
+        assert warm == [221, 143]
