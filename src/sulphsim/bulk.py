@@ -44,8 +44,9 @@ from .grid import GRID_CACHE_SIZE, Grid2D
 from .model import PhysParams, porosity, permeability
 from .surface import step_r
 
-# CG tolerance used inside step(): tighter than the cg_solve default so the
-# solver error stays well below the 1e-10 invariant tolerances.
+# CG tolerance of step() and of the MMS harness's solves: tighter than the
+# cg_solve default so the solver error stays well below the 1e-10 invariant
+# tolerances.
 STEP_CG_TOL = 1e-12
 
 
@@ -61,19 +62,6 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         return FieldState(self.t, self.s.copy(), self.c.copy(), self.r.copy(), self.xi.copy())
-
-
-@dataclass
-class RobinData:
-    """Per-trace-node boundary data phi*dn(s) = -nu*(s - sbar) + flux.
-
-    The production path uses nu = nu(r), sbar from the parameters and
-    flux = 0; the verification harness overrides all three.
-    """
-
-    nu: np.ndarray
-    sbar: np.ndarray
-    flux: np.ndarray
 
 
 @dataclass
@@ -266,17 +254,6 @@ def _first_non_finite(named, pat: _Pattern) -> str | None:
     return None
 
 
-def _robin_error(robin: RobinData, trace) -> str | None:
-    """What is wrong with robin as exchange data on trace, or None."""
-    if trace is None:
-        return "robin_data given for a grid with no exposed edge"
-    for name in ("nu", "sbar", "flux"):
-        shape = np.shape(getattr(robin, name))
-        if shape != (len(trace),):
-            return f"robin_data.{name} has shape {shape}, expected ({len(trace)},) for the exposed trace"
-    return None
-
-
 def assemble_s_system(
     grid: Grid2D,
     state_old: FieldState,
@@ -285,14 +262,15 @@ def assemble_s_system(
     dt: float,
     p: PhysParams,
     source: np.ndarray | None = None,
-    robin_data: RobinData | None = None,
+    boundary_flux: np.ndarray | None = None,
 ) -> LinearSystem:
     """Build the backward-Euler system for s^{n+1}.
 
-    source is an optional nodal forcing (used by the verification harness);
-    robin_data overrides the exposed-edge exchange data and must hold one
-    value per trace node.  Rows are scaled by dual-cell volumes, so the
-    matrix is symmetric by construction.
+    source is an optional nodal forcing and boundary_flux an optional flux
+    g added to the exchange law, phi*dn(s) = -nu(r_new)*(s - sbar) + g,
+    with one value per exposed-trace node (both used by the verification
+    harness).  Rows are scaled by dual-cell volumes, so the matrix is
+    symmetric by construction.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (dt={dt})")
@@ -300,12 +278,17 @@ def assemble_s_system(
     bad = _first_non_finite((("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c)), pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
-    if robin_data is not None:
-        problem = _robin_error(robin_data, pat.trace)
-        if problem:
-            raise ValueError(problem)
+    if boundary_flux is not None:
+        if pat.trace is None:
+            raise ValueError("boundary_flux given for a grid with no exposed edge")
+        shape, m = np.shape(boundary_flux), len(pat.trace)
+        if shape != (m,):
+            raise ValueError(
+                f"boundary_flux has shape {shape}, expected ({m},) for the exposed trace"
+            )
     _, rhs = _old_state_terms(pat, state_old, dt, p)
-    return _assemble(pat, rhs, c_new, r_new, dt, p, source, robin_data)[0]
+    flux = 0.0 if boundary_flux is None else boundary_flux
+    return _assemble(pat, rhs, c_new, r_new, dt, p, source, flux)[0]
 
 
 def _old_state_terms(pat: _Pattern, state_old: FieldState, dt: float, p: PhysParams):
@@ -329,7 +312,7 @@ def _assemble(
     dt: float,
     p: PhysParams,
     source: np.ndarray | None = None,
-    robin_data: RobinData | None = None,
+    boundary_flux: np.ndarray | float = 0.0,
 ) -> tuple[LinearSystem, np.ndarray]:
     """The s-system on pat's grid, and phi(c_new), from checked inputs.
 
@@ -367,14 +350,11 @@ def _assemble(
     diag = mass
     trace = pat.trace
     if trace is not None:
-        if robin_data is None:  # nu(r), sbar and no flux, as scalars where uniform
-            nu, sbar, flux = np.asarray(permeability(r_new, p), dtype=float), p.sbar, 0.0
-        else:
-            nu, sbar, flux = robin_data.nu, robin_data.sbar, robin_data.flux
+        nu = np.asarray(permeability(r_new, p), dtype=float)
         if (nu < 0).any():
             raise ValueError("negative boundary permeability nu(r)")
         diag[trace.indices] += nu * trace.weights
-        rhs[trace.indices] += trace.weights * (nu * sbar + flux)
+        rhs[trace.indices] += trace.weights * (nu * p.sbar + boundary_flux)
     _add_face_couplings(diag, tx, ty, nx)
 
     # One strided write per slot (see _Pattern), then the pads.
@@ -590,24 +570,22 @@ def cg_solve(
 class BalanceTerms:
     """Per-step byproducts consumed by the invariant audit and the next step.
 
-    The first four entries are the summands of the discrete balance
+    The first three entries are the summands of the discrete balance
     identity obtained by summing the volume-scaled scheme over all nodes;
-    the traces record the surface inputs of the final rugosity update.
-    cg_iterations and cg_residual hold one entry per Picard sweep.  s_in
-    is the step's input s and s_sweeps each sweep's solution, and
-    s_in_prev and s_sweeps_prev are the same of the step before, when
-    there was one (the arrays themselves, not copies, and never that
-    step's BalanceTerms, which would keep every earlier step alive): the
+    s_trace is the frozen s that the final rugosity update read on the
+    exposed trace (the c it read is the new c there).  cg_iterations and
+    cg_residual hold one entry per Picard sweep.  s_in is the step's
+    input s and s_sweeps each sweep's solution, and s_in_prev and
+    s_sweeps_prev are the same of the step before, when there was one
+    (the arrays themselves, not copies, and never that step's
+    BalanceTerms, which would keep every earlier step alive): the
     solution history that warm-starts the next step's solves.
     """
 
     accumulation: float
     reaction: float
     boundary_exchange: float
-    source_total: float
-    c_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     s_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    r_prev: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cg_iterations: tuple[int, ...] = ()
     cg_residual: tuple[float, ...] = ()
     s_in: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -687,7 +665,6 @@ def step(
     r_new, xi = state.r, np.zeros_like(state.r)
     s_new = state.s
     sweeps, iters, resids = [], [], []
-    c_tr = np.zeros(0)
     s_tr = np.zeros(0)
 
     for k in range(picard_iters):
@@ -695,9 +672,8 @@ def step(
         if _first_non_finite((("c_new", c_new),), pat):
             raise ValueError("non-finite values in c_new")
         if trace is not None:
-            c_tr = c_new[trace.indices]
             s_tr = s_frozen[trace.indices]
-            r_new, xi = step_r(state.r, c_tr, s_tr, dt, p)
+            r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
         sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
         x0 = s_new
         if history is not None and k == 0:
@@ -732,10 +708,7 @@ def step(
         accumulation=accumulation,
         reaction=reaction,
         boundary_exchange=boundary,
-        source_total=0.0,
-        c_trace=c_tr,
         s_trace=s_tr,
-        r_prev=state.r.copy(),
         cg_iterations=tuple(iters),
         cg_residual=tuple(resids),
         s_in=state.s,

@@ -7,7 +7,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bulk import BalanceTerms, FieldState, RobinData, assemble_s_system, cg_solve, history_start
+from .bulk import (
+    STEP_CG_TOL,
+    BalanceTerms,
+    FieldState,
+    assemble_s_system,
+    cg_solve,
+    history_start,
+)
 from .grid import Edge, EdgeTag, Grid2D, build_grid
 from .model import ConstraintMode, PhysParams, permeability
 from .pool import map_jobs
@@ -103,15 +110,8 @@ def audit_step(
     if p.constraint_mode is ConstraintMode.BOX and len(state.r) and r_max > p.R0 + R_TOL:
         flags.append(f"r_max={r_max:.3e} above R0 at trace node {int(state.r.argmax())}")
 
-    residual = abs(
-        terms.accumulation + terms.reaction - terms.boundary_exchange - terms.source_total
-    )
-    scale = max(
-        abs(terms.accumulation),
-        abs(terms.reaction),
-        abs(terms.boundary_exchange),
-        abs(terms.source_total),
-    )
+    residual = abs(terms.accumulation + terms.reaction - terms.boundary_exchange)
+    scale = max(abs(terms.accumulation), abs(terms.reaction), abs(terms.boundary_exchange))
     if scale > 0 and residual > BALANCE_REL_TOL * scale:
         flags.append(f"balance residual {residual:.3e} above {BALANCE_REL_TOL}*{scale:.3e}")
 
@@ -142,9 +142,9 @@ class ManufacturedFields:
 
     c and r are prescribed (their integrators have exact oracles of their
     own), a volumetric source makes s_exact solve the discrete equation's
-    continuous counterpart, and the exposed-edge Robin data is overridden
-    with a compensating flux so the exchange machinery is exercised
-    nontrivially.
+    continuous counterpart, and a boundary flux added to the exposed
+    edge's exchange law -nu(r)(s - sbar) makes s_exact satisfy it, so the
+    exchange is exercised with nu(r) of the prescribed r.
     """
 
     p: PhysParams
@@ -161,7 +161,7 @@ class ManufacturedFields:
 
         The factors are those at the nodes (x1, x2) and, when given, at the
         left-edge nodes edge_x2.  c_field and source reuse them whenever
-        they are called with x1 and x2, r_field and robin_override whenever
+        they are called with x1 and x2, r_field and boundary_flux whenever
         they are called with edge_x2; none of these arrays may change
         afterwards.  A subclass that overrides one of those methods keeps
         its own definition.
@@ -216,20 +216,17 @@ class ManufacturedFields:
         cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
         return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
-    def robin_override(self, coords: np.ndarray, t: float) -> RobinData:
-        """Exchange data on the left edge under which s_exact is exact.
+    def boundary_flux(self, coords: np.ndarray, t: float) -> np.ndarray:
+        """Flux g on the left edge under which s_exact satisfies the exchange law.
 
-        s_exact has zero normal derivative on every edge, so the required
-        compensating flux is g = nu(r*)(s_exact|edge - sbar).
+        s_exact has zero normal derivative on every edge, so
+        0 = -nu(r*)(s_exact|edge - sbar) + g requires
+        g = nu(r*)(s_exact|edge - sbar).
         """
         p = self.p
         nu = np.asarray(permeability(self.r_field(coords, t), p), dtype=float)
         s_edge = self._s(1.0, self._edge_factors(coords)[0], math.exp(-t))  # cos(pi*0) = 1
-        return RobinData(
-            nu=nu,
-            sbar=np.full(len(coords), p.sbar),
-            flux=nu * (s_edge - p.sbar),
-        )
+        return nu * (s_edge - p.sbar)
 
 
 @dataclass(frozen=True)
@@ -280,14 +277,13 @@ def _mms_solution(
     n: int,
     dt: float,
     t_end: float,
-    cg_rel_tol: float = 1e-12,
 ) -> np.ndarray:
     """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
-    c and r are prescribed.  Each step's CG starts from the extrapolation
-    of the last steps' solutions (see bulk.history_start): step 1 from
-    s^0, step 2 from 2*s^1 - s^0 and every later step from
-    3*(s^n - s^(n-1)) + s^(n-2).
+    c and r are prescribed.  Each step's CG stops at STEP_CG_TOL, as in
+    step(), and starts from the extrapolation of the last steps'
+    solutions (see bulk.history_start): step 1 from s^0, step 2 from
+    2*s^1 - s^0 and every later step from 3*(s^n - s^(n-1)) + s^(n-2).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")
@@ -304,22 +300,23 @@ def _mms_solution(
     mf = mf.at_nodes(x1, x2, trace.coords)
     s = mf.s_exact(x1, x2, 0.0)
     c_old = mf.c_field(x1, x2, 0.0)
-    r = np.zeros(len(trace))  # unused: the Robin data is overridden
+    unread = np.zeros(len(trace))  # the old state's r and xi: the assembly reads neither
     s_hist = (s,)  # the last solutions, newest first
     for k in range(1, n_steps + 1):
         t = k * dt
         c_new = mf.c_field(x1, x2, t)
+        r_new = mf.r_field(trace.coords, t)
         sys = assemble_s_system(
             grid,
-            FieldState(t=t - dt, s=s, c=c_old, r=r, xi=r),
+            FieldState(t=t - dt, s=s, c=c_old, r=unread, xi=unread),
             c_new,
-            r_new=r,
+            r_new=r_new,
             dt=dt,
             p=mf.p,
             source=mf.source(x1, x2, t),
-            robin_data=mf.robin_override(trace.coords, t),
+            boundary_flux=mf.boundary_flux(trace.coords, t),
         )
-        s, _, _ = cg_solve(sys, x0=history_start(s_hist), rel_tol=cg_rel_tol)
+        s, _, _ = cg_solve(sys, x0=history_start(s_hist), rel_tol=STEP_CG_TOL)
         s_hist = (s,) + s_hist[:2]
         c_old = c_new
     return s
@@ -336,13 +333,12 @@ def run_mms_level(
     n: int,
     dt: float,
     t_end: float,
-    cg_rel_tol: float = 1e-12,
 ) -> tuple[float, float]:
     """Integrate the forced s-equation on an n x n grid; return error norms at t_end.
 
     The error is s - s_exact at t_end, in the norms of _error_norms.
     """
-    s = _mms_solution(mf, n, dt, t_end, cg_rel_tol)
+    s = _mms_solution(mf, n, dt, t_end)
     grid = _mms_grid(n)
     return _error_norms(grid, s - mf.s_exact(grid.x1(), grid.x2(), t_end))
 

@@ -30,11 +30,13 @@ class StrictInvariantError(RuntimeError):
 
 @dataclass
 class TraceRecord:
-    """Exposed-edge quantities of one step, kept for post-processing."""
+    """Exposed-edge quantities of one step, kept for post-processing.
+
+    The step's rugosity update read r_prev, s_used and c_edge, the new c.
+    """
 
     step: int
     t: float
-    c_used: np.ndarray
     s_used: np.ndarray
     r_prev: np.ndarray
     r_new: np.ndarray
@@ -137,6 +139,7 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     terms = None  # the previous step's, whose solution history warm-starts the next
     try:
         for k in range(1, cfg.n_steps + 1):
+            r_prev = state.r
             state, terms = step(
                 state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=terms
             )
@@ -151,9 +154,8 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
                         TraceRecord(
                             step=k,
                             t=state.t,
-                            c_used=terms.c_trace.copy(),
                             s_used=terms.s_trace.copy(),
-                            r_prev=terms.r_prev.copy(),
+                            r_prev=r_prev.copy(),
                             r_new=state.r.copy(),
                             xi=state.xi.copy(),
                             c_edge=c_edge.copy(),

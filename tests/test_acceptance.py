@@ -334,7 +334,7 @@ class TestCriterion9ConstraintMechanics:
         )
         worst = 0.0
         for rec in hist:
-            g = rugosity_reaction(rec.r_prev, rec.c_used, rec.s_used, p)
+            g = rugosity_reaction(rec.r_prev, rec.c_edge, rec.s_used, p)
             resid = (rec.r_new - rec.r_prev) / cfg.dt + rec.xi + g
             worst = max(worst, float(np.abs(resid).max()))
         ok = in_box and clamp_steps > 0 and support_ok and worst <= 1e-12

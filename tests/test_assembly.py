@@ -7,19 +7,25 @@ volume.  The production assembler works face by face, so agreement is a
 genuine two-route check.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sulphsim.bulk as bulk
-from sulphsim.bulk import FieldState, RobinData, assemble_s_system, cg_solve
+from sulphsim.bulk import FieldState, assemble_s_system, cg_solve
 from sulphsim.grid import Edge, EdgeTag, Grid2D, build_grid
 from sulphsim.model import PhysParams, permeability, porosity
 
 
 def dense_oracle(grid, c_new, c_old, s_old, dt, p, source=None, robin=None):
-    """Loop over nodes and stencil legs; returns (A, b) as dense arrays."""
+    """Loop over nodes and stencil legs; returns (A, b) as dense arrays.
+
+    robin = (nu, sbar, flux) holds the exchange data phi*dn(s) =
+    -nu*(s - sbar) + flux per exposed-trace node.
+    """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     n = nx * ny
     phi = p.A + p.B * np.asarray(c_new)
@@ -70,10 +76,15 @@ def dense_oracle(grid, c_new, c_old, s_old, dt, p, source=None, robin=None):
                     # -nu*(s - sbar) + flux, which shifts the mirrored ghost
                     assert robin is not None, "oracle needs explicit robin data"
                     k = tr_pos[row]
-                    nu = robin.nu[k]
+                    nu, sbar, flux = (a[k] for a in robin)
                     amat[row, row] += vol * (2.0 / h) * nu
-                    b[row] += vol * (2.0 / h) * (nu * robin.sbar[k] + robin.flux[k])
+                    b[row] += vol * (2.0 / h) * (nu * sbar + flux)
     return amat, b
+
+
+def exchange_data(r, p, flux):
+    """The oracle's robin data for the assembler's law: nu(r), p.sbar and flux."""
+    return np.asarray(permeability(r, p), dtype=float), np.full(len(r), p.sbar), flux
 
 
 def make_state(grid, c_old, s_old):
@@ -111,11 +122,7 @@ class TestAgainstDenseOracle:
         s_old = rng.uniform(0, 1, grid.n_nodes)
         trace = grid.exposed_trace()
         r = rng.uniform(0, 1.5, len(trace))
-        robin = RobinData(
-            nu=np.asarray(permeability(r, p), dtype=float),
-            sbar=np.full(len(trace), p.sbar),
-            flux=np.zeros(len(trace)),
-        )
+        robin = exchange_data(r, p, np.zeros(len(trace)))
         dt = 1.0 / 5000.0
         sys = assemble_s_system(grid, make_state(grid, c_old, s_old), c_new, r, dt, p)
         amat, b = dense_oracle(grid, c_new, c_old, s_old, dt, p, robin=robin)
@@ -125,23 +132,19 @@ class TestAgainstDenseOracle:
 
     def test_with_source_and_flux_override(self):
         grid = build_grid(5, 7)
-        p = PhysParams()
+        p = PhysParams(sbar=0.63)
         rng = np.random.default_rng(21)
         c = rng.uniform(0.2, 0.8, grid.n_nodes)
         s_old = rng.uniform(0, 1, grid.n_nodes)
         src = rng.standard_normal(grid.n_nodes)
         trace = grid.exposed_trace()
-        robin = RobinData(
-            nu=rng.uniform(0, 2, len(trace)),
-            sbar=rng.uniform(0, 1, len(trace)),
-            flux=rng.standard_normal(len(trace)),
-        )
+        r = rng.uniform(0, 2, len(trace))
+        flux = rng.standard_normal(len(trace))
         dt = 0.01
         sys = assemble_s_system(
-            grid, make_state(grid, c, s_old), c, np.zeros(len(trace)), dt, p,
-            source=src, robin_data=robin,
+            grid, make_state(grid, c, s_old), c, r, dt, p, source=src, boundary_flux=flux
         )
-        amat, b = dense_oracle(grid, c, c, s_old, dt, p, source=src, robin=robin)
+        amat, b = dense_oracle(grid, c, c, s_old, dt, p, source=src, robin=exchange_data(r, p, flux))
         assert np.allclose(sys.matrix().toarray(), amat, atol=1e-12)
         assert np.allclose(sys.rhs, b, atol=1e-12)
 
@@ -156,16 +159,12 @@ class TestAgainstDenseOracle:
             trace = grid.exposed_trace()
             c = rng.uniform(0.2, 0.8, grid.n_nodes)
             s_old = rng.uniform(0, 1, grid.n_nodes)
-            robin = RobinData(
-                nu=rng.uniform(0, 2, len(trace)),
-                sbar=rng.uniform(0, 1, len(trace)),
-                flux=rng.standard_normal(len(trace)),
-            )
+            r = rng.uniform(0, 2, len(trace))
+            flux = rng.standard_normal(len(trace))
             sys = assemble_s_system(
-                grid, make_state(grid, c, s_old), c, np.zeros(len(trace)), 0.01, p,
-                robin_data=robin,
+                grid, make_state(grid, c, s_old), c, r, 0.01, p, boundary_flux=flux
             )
-            amat, b = dense_oracle(grid, c, c, s_old, 0.01, p, robin=robin)
+            amat, b = dense_oracle(grid, c, c, s_old, 0.01, p, robin=exchange_data(r, p, flux))
             assert np.allclose(sys.matrix().toarray(), amat, atol=1e-12)
             assert np.allclose(sys.rhs, b, atol=1e-12)
 
@@ -251,26 +250,27 @@ class TestStructure:
         sys = assemble_s_system(grid, make_state(grid, c, np.full(9, 1e300)), c, np.zeros(3), 1e-3, PhysParams())
         assert np.all(np.isfinite(sys.rhs))
 
-    def test_rejects_robin_data_of_wrong_length(self):
-        # a length-1 array would otherwise broadcast over the whole trace
+    def test_rejects_boundary_flux_of_wrong_shape(self):
+        # a length-1 array or a scalar would otherwise broadcast over the whole trace
         grid = build_grid(5, 5)
         c = np.full(25, 0.5)
-        for name in ("nu", "sbar", "flux"):
-            fields = {"nu": np.full(5, 0.5), "sbar": np.ones(5), "flux": np.zeros(5)}
-            fields[name] = fields[name][:1]
-            with pytest.raises(ValueError, match=rf"robin_data\.{name} has shape \(1,\), expected \(5,\)"):
+        for flux, shape in [
+            (np.zeros(1), "(1,)"), (np.zeros(6), "(6,)"), (np.zeros((5, 1)), "(5, 1)"), (0.0, "()")
+        ]:
+            message = f"boundary_flux has shape {shape}, expected (5,) for the exposed trace"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 assemble_s_system(
                     grid, make_state(grid, c, c), c, np.zeros(5), 1e-3, PhysParams(),
-                    robin_data=RobinData(**fields),
+                    boundary_flux=flux,
                 )
 
-    def test_rejects_robin_data_without_exposed_edge(self):
+    def test_rejects_boundary_flux_without_exposed_edge(self):
         grid = build_grid(5, 5, isolated_tags())
         c = np.full(25, 0.5)
-        robin = RobinData(nu=np.full(5, 0.5), sbar=np.ones(5), flux=np.zeros(5))
-        with pytest.raises(ValueError, match="no exposed edge"):
+        with pytest.raises(ValueError, match="^boundary_flux given for a grid with no exposed edge"):
             assemble_s_system(
-                grid, make_state(grid, c, c), c, np.zeros(0), 1e-3, PhysParams(), robin_data=robin
+                grid, make_state(grid, c, c), c, np.zeros(0), 1e-3, PhysParams(),
+                boundary_flux=np.zeros(5),
             )
 
     def test_rejects_negative_permeability(self):

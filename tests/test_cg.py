@@ -9,7 +9,6 @@ from sulphsim.bulk import (
     CgNonConvergence,
     FieldState,
     LinearSystem,
-    RobinData,
     assemble_s_system,
     cg_solve,
     step,
@@ -187,19 +186,17 @@ class TestFailFast:
             step(st, 1e-3, grid, p)
 
     def test_nan_robin_permeability_reaches_cg_breakdown(self):
-        # a NaN diagonal entry passes the positive-diagonal check, as NaN
-        # fails d <= 0, and CG stops on its first residual
+        # a NaN in r gives a NaN nu(r) and diagonal entry, which passes the
+        # positive-diagonal check, as NaN fails d <= 0, and CG stops on its
+        # first residual
         grid = build_grid(9, 9)
         n = grid.n_nodes
-        trace = grid.exposed_trace()
-        m = len(trace)
-        nu = np.full(m, 0.5)
-        nu[3] = np.nan
-        st = FieldState(0.0, np.full(n, 0.2), np.full(n, 0.5), np.zeros(m), np.zeros(m))
-        sys = assemble_s_system(
-            grid, st, st.c, st.r, 1e-3, PhysParams(),
-            robin_data=RobinData(nu=nu, sbar=np.ones(m), flux=np.zeros(m)),
-        )
+        m = len(grid.exposed_trace())
+        r = np.full(m, 0.5)
+        r[3] = np.nan
+        st = FieldState(0.0, np.full(n, 0.2), np.full(n, 0.5), r, np.zeros(m))
+        sys = assemble_s_system(grid, st, st.c, r, 1e-3, PhysParams())
+        assert np.isnan(sys.diagonal()).sum() == 1
         with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
             cg_solve(sys, x0=st.s)
 

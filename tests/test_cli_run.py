@@ -211,7 +211,7 @@ class TestSweep:
 
         main_pid = os.getpid()
 
-        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
+        def report(mf, n, dt, t_end):
             # An s whose error is the worker's pid everywhere, so a level's
             # error is that pid when both its solutions ran in one process.
             # A solution on a pool of the sweep worker's own fails its run.

@@ -11,7 +11,6 @@ from sulphsim.bulk import (
     CgBreakdown,
     CgNonConvergence,
     FieldState,
-    RobinData,
     assemble_s_system,
     cg_solve,
     step,
@@ -26,7 +25,7 @@ from sulphsim.diagnostics import (
     run_mms_level,
 )
 from sulphsim.grid import build_grid
-from sulphsim.model import ConstraintMode, PhysParams
+from sulphsim.model import ConstraintMode, PhysParams, permeability
 
 
 def make_state(grid, s, c, r=None):
@@ -36,7 +35,7 @@ def make_state(grid, s, c, r=None):
 
 
 def zero_terms():
-    return BalanceTerms(0.0, 0.0, 0.0, 0.0)
+    return BalanceTerms(0.0, 0.0, 0.0)
 
 
 class TestAuditStep:
@@ -84,7 +83,7 @@ class TestAuditStep:
     def test_balance_flag(self):
         p = PhysParams()
         grid = build_grid(5, 5)
-        terms = BalanceTerms(1.0, 0.5, 1.0, 0.0)  # residual 0.5 vs scale 1.0
+        terms = BalanceTerms(1.0, 0.5, 1.0)  # residual 0.5 vs scale 1.0
         entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, terms, grid)
         assert any("balance" in f for f in entry.flags)
 
@@ -163,22 +162,25 @@ class TestManufacturedSource:
         bound = mf.at_nodes(grid.x1(), grid.x2(), coords)
         for t in (0.0, 0.03, 0.1):
             assert np.array_equal(bound.r_field(coords, t), mf.r_field(coords, t))
-            got, want = bound.robin_override(coords, t), mf.robin_override(coords, t)
-            for name in ("nu", "sbar", "flux"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(bound.boundary_flux(coords, t), mf.boundary_flux(coords, t))
         # other edge nodes are evaluated afresh
         other = coords * 0.5
-        assert np.array_equal(bound.robin_override(other, 0.05).flux, mf.robin_override(other, 0.05).flux)
+        assert np.array_equal(bound.boundary_flux(other, 0.05), mf.boundary_flux(other, 0.05))
+        assert not np.array_equal(bound.boundary_flux(other, 0.05), mf.boundary_flux(coords, 0.05))
 
-    def test_manufactured_solution_satisfies_robin_override(self):
-        mf = ManufacturedFields(PhysParams())
+    def test_manufactured_solution_satisfies_robin_law(self):
+        p = PhysParams()
+        mf = ManufacturedFields(p)
         x2 = np.linspace(0, 1, 33)
         t = 0.07
-        rd = mf.robin_override(x2, t)
+        nu = permeability(mf.r_field(x2, t), p)
         s_edge = mf.s_exact(0.0, x2, t)
-        # phi*dn(s*) = 0 on the left edge, so -nu*(s*-sbar) + flux must vanish
-        resid = -rd.nu * (s_edge - rd.sbar) + rd.flux
+        flux = mf.boundary_flux(x2, t)
+        # phi*dn(s*) = 0 on the left edge, so -nu(r*)*(s*-sbar) + flux must
+        # vanish, with a flux that exercises the exchange
+        resid = -nu * (s_edge - p.sbar) + flux
         assert np.abs(resid).max() < 1e-14
+        assert np.abs(flux).max() > 0.1
 
 
 class ConstantFields(ManufacturedFields):
@@ -197,9 +199,9 @@ class ConstantFields(ManufacturedFields):
         phi = self.p.A + self.p.B * c
         return self.p.lam * phi * c * self.K
 
-    def robin_override(self, coords, t):
-        nu = np.full(len(coords), 0.8)
-        return RobinData(nu=nu, sbar=np.full(len(coords), self.K), flux=np.zeros(len(coords)))
+    def boundary_flux(self, coords, t):
+        nu = permeability(self.r_field(coords, t), self.p)
+        return nu * (self.K - self.p.sbar)
 
 
 class TestMmsMachinery:
@@ -258,18 +260,35 @@ class TestMmsMachinery:
         small_dt = run_mms_level(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
         assert extrapolated == pytest.approx(small_dt, rel=1e-3)
 
-    def test_bad_overridden_robin_data_is_rejected(self):
-        class ShortRobin(ManufacturedFields):
-            def robin_override(self, coords, t):
-                full = super().robin_override(coords, t)
-                return RobinData(full.nu[:1], full.sbar, full.flux)
+    def test_bad_boundary_flux_is_rejected(self):
+        class ShortFlux(ManufacturedFields):
+            def boundary_flux(self, coords, t):
+                return super().boundary_flux(coords, t)[:1]
 
-        with pytest.raises(ValueError, match=r"robin_data\.nu has shape \(1,\)"):
-            run_mms_level(ShortRobin(PhysParams()), 9, 1e-3, 1e-2)
+        with pytest.raises(ValueError, match=r"^boundary_flux has shape \(1,\), expected \(9,\)"):
+            run_mms_level(ShortFlux(PhysParams()), 9, 1e-3, 1e-2)
+
+    def test_solves_use_the_prescribed_rugosity(self, monkeypatch):
+        # each step's exchange coefficient is nu(r*) of the prescribed r at
+        # the new time, through the same assembly as step()
+        seen = []
+
+        def recording(grid, state_old, c_new, r_new, dt, p, **kwargs):
+            seen.append((state_old.t, r_new, kwargs["boundary_flux"]))
+            return assemble_s_system(grid, state_old, c_new, r_new, dt, p, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "assemble_s_system", recording)
+        mf = ManufacturedFields(PhysParams())
+        dt = 1e-3
+        diagnostics._mms_solution(mf, 9, dt, 3 * dt)
+        coords = diagnostics._mms_grid(9).exposed_trace().coords
+        assert [t for t, _, _ in seen] == [0.0, dt, 2 * dt]
+        for k, (_, r_new, flux) in enumerate(seen, start=1):
+            assert np.array_equal(r_new, mf.r_field(coords, k * dt))
+            assert np.array_equal(flux, mf.boundary_flux(coords, k * dt))
+            assert r_new.min() > 0.0
 
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
-        from sulphsim.model import permeability
-
         p = PhysParams()
         grid = build_grid(9, 9)
         trace = grid.exposed_trace()
@@ -282,11 +301,7 @@ class TestMmsMachinery:
         hooked = assemble_s_system(
             grid, st, c, r, 1e-3, p,
             source=np.zeros(grid.n_nodes),
-            robin_data=RobinData(
-                nu=np.asarray(permeability(r, p), dtype=float),
-                sbar=np.full(len(trace), p.sbar),
-                flux=np.zeros(len(trace)),
-            ),
+            boundary_flux=np.zeros(len(trace)),
         )
         assert np.array_equal(plain.data, hooked.data)
         assert np.array_equal(plain.rhs, hooked.rhs)
@@ -305,31 +320,36 @@ class TestMmsMachinery:
         assert lines[1].endswith(",,")
         assert "2" in lines[2].split(",")[4]
 
-    def test_order_arithmetic_between_rows(self):
-        # synthetic errors with exact ratio 4 at mesh ratio 2 give order 2
-        class Fake(ManufacturedFields):
-            pass
-
-        errs = {17: (4e-2, 8e-2), 33: (1e-2, 2e-2), 65: (2.5e-3, 5e-3)}
-        rows = []
-        prev = None
-        for lvl, n in enumerate((17, 33, 65)):
+    def test_order_arithmetic_between_rows(self, monkeypatch):
+        # mms_convergence's own order loop.  Each spatial level is off by h^2
+        # in L2 and by h in max: by h at the corner node, whose dual cell
+        # has area h^2/4, and elsewhere by the a with a^2 (1 - h^2/4) +
+        # h^4/4 = h^4 (the domain has area 1); orders 2 and 1.  Each
+        # temporal solution is off by dt everywhere, so successive
+        # differences are dt/2 in both norms; order 1.
+        def spatial(mf, n, dt, t_end):
             h = 1.0 / (n - 1)
-            e2, em = errs[n]
-            if prev is None:
-                rows.append(ConvergenceRow(lvl, h, e2, em, None, None))
-            else:
-                ratio = prev[0] / h
-                rows.append(
-                    ConvergenceRow(
-                        lvl, h, e2, em,
-                        math.log(prev[1] / e2) / math.log(ratio),
-                        math.log(prev[2] / em) / math.log(ratio),
-                    )
-                )
-            prev = (h, e2, em)
-        assert rows[1].order_l2 == pytest.approx(2.0)
-        assert rows[2].order_max == pytest.approx(2.0)
+            off = np.full(n * n, h * h * math.sqrt(3.0 / (4.0 - h * h)))
+            off[0] = h
+            return off_by(mf, n, t_end, off)
+
+        def temporal(mf, n, dt, t_end):
+            return off_by(mf, n, t_end, dt)
+
+        for fake, study, err_l2, err_max, order_l2, order_max in (
+            (spatial, "spatial", lambda h: h**2, lambda h: h, 2.0, 1.0),
+            (temporal, "temporal", lambda dt: dt / 2, lambda dt: dt / 2, 1.0, 1.0),
+        ):
+            monkeypatch.setattr(diagnostics, "_mms_solution", fake)
+            rows = mms_convergence(study, 4).rows
+            assert len(rows) == 4
+            assert rows[0].order_l2 is None and rows[0].order_max is None
+            for row in rows:
+                assert row.err_l2 == pytest.approx(err_l2(row.h_or_dt), rel=1e-9)
+                assert row.err_max == pytest.approx(err_max(row.h_or_dt), rel=1e-9)
+            for row in rows[1:]:
+                assert row.order_l2 == pytest.approx(order_l2, abs=1e-9)
+                assert row.order_max == pytest.approx(order_max, abs=1e-9)
 
     def test_rejects_bad_study(self):
         with pytest.raises(ValueError):
@@ -362,7 +382,7 @@ class TestMmsLevelArguments:
 
 
 def off_by(mf, n, t_end, value):
-    """An s on the n x n grid whose error at t_end is value at every node.
+    """An s on the n x n grid whose error at t_end is value, a scalar or one per node.
 
     Exact to rounding, and so is the error of the spatial study's
     extrapolation 2*s(dt/2) - s(dt) when both solutions are off by value.
@@ -384,7 +404,7 @@ class TestMmsLevelsInWorkers:
 
     def test_levels_run_in_worker_processes_in_plan_order(self, monkeypatch, tmp_path):
         # each solution leaves its worker's pid in a file named after it
-        def report(mf, n, dt, t_end, cg_rel_tol=1e-12):
+        def report(mf, n, dt, t_end):
             (tmp_path / f"{n}-{dt}").write_text(str(os.getpid()))
             return off_by(mf, n, t_end, float(n))
 
@@ -400,7 +420,7 @@ class TestMmsLevelsInWorkers:
     def test_costliest_level_starts_first(self, monkeypatch):
         started = []
 
-        def record(mf, n, dt, t_end, cg_rel_tol=1e-12):
+        def record(mf, n, dt, t_end):
             started.append((n, dt))
             return off_by(mf, n, t_end, dt)
 
@@ -417,7 +437,7 @@ class TestMmsLevelsInWorkers:
         "error", [CgBreakdown("p.Ap <= 0 at iteration 3"), CgNonConvergence([1.0, 0.5], 3)]
     )
     def test_level_exception_reaches_caller_as_itself(self, monkeypatch, error):
-        def fail(mf, n, dt, t_end, cg_rel_tol=1e-12):
+        def fail(mf, n, dt, t_end):
             raise error
 
         monkeypatch.setattr(diagnostics, "_mms_solution", fail)

@@ -153,7 +153,7 @@ class TestInvariantCsv:
         grid = build_grid(5, 5)
         st = state_on(grid)
         rep = InvariantReport()
-        rep.append(audit_step(st, PhysParams(), BalanceTerms(0, 0, 0, 0), grid, 1))
+        rep.append(audit_step(st, PhysParams(), BalanceTerms(0, 0, 0), grid, 1))
         path = tmp_path / "inv.csv"
         from sulphsim.output import write_invariants_csv
 
