@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mms_p = sub.add_parser("mms", help="convergence study of the implicit solve")
     mms_p.add_argument("--study", choices=("spatial", "temporal"), required=True)
-    mms_p.add_argument("--levels", help="number of levels (overrides mms_levels, default 4)")
+    mms_p.add_argument("--levels", type=int, default=4, help="number of levels, >= 3 (default 4)")
     mms_p.add_argument("--config", help="optional config supplying physical parameters")
     mms_p.add_argument("--out", help="directory for the CSV table")
 
@@ -85,9 +85,10 @@ def main(argv: list[str] | None = None) -> int:
             return result.status
 
         if args.command == "mms":
-            overrides = {} if args.levels is None else {"mms_levels": args.levels}
-            cfg = _load_config(args.config, overrides)
-            table = mms_convergence(args.study, cfg.mms_levels, cfg.phys())
+            if args.levels < 3:
+                raise ConfigError(f"--levels must be >= 3 (got {args.levels})")
+            cfg = _load_config(args.config, {})
+            table = mms_convergence(args.study, args.levels, cfg.phys())
             print(table)
             out_dir = args.out or "."
             ensure_dir(out_dir)

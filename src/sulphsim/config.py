@@ -22,7 +22,6 @@ class ConfigError(ValueError):
     pass
 
 
-RUN_MODES = ("simulate", "audit_only", "mms_spatial", "mms_temporal")
 EDGE_CHOICES = tuple(e.value for e in Edge) + ("none",)
 
 
@@ -61,10 +60,8 @@ class RunConfig(PhysParams):
     emit_csv: bool = True
     emit_vtk: bool = True
     # control
-    mode: str = "simulate"
     strict: bool = False
     enforce_global_bound: bool = True
-    mms_levels: int = 4
 
     # -- derived objects ---------------------------------------------------
 
@@ -163,10 +160,6 @@ def _field_parser(f):
 # key -> parser of its raw text, built once
 _PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
 
-# string keys that take one of a fixed set of words; the enum keys are
-# checked by PhysParams.validate
-_CHOICES = {"exposed_edge": EDGE_CHOICES, "mode": RUN_MODES}
-
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Defaults overlaid by the document, overlaid by CLI overrides, validated."""
@@ -213,11 +206,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
         for key, v in values.items()
         if isinstance(v, float) and not math.isfinite(v)
     ]
-    problems.extend(
-        choice_error(key, choices, values[key])
-        for key, choices in _CHOICES.items()
-        if values[key] not in choices
-    )
+    if cfg.exposed_edge not in EDGE_CHOICES:
+        problems.append(choice_error("exposed_edge", EDGE_CHOICES, cfg.exposed_edge))
     # every enum key of RunConfig, r_init_mode included, by its own name
     problems.extend(PhysParams.validate(cfg, enforce_global_bound=cfg.enforce_global_bound))
     if cfg.nx < 3 or cfg.ny < 3:
@@ -228,8 +218,6 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"n_steps must be >= 1 (got {cfg.n_steps})")
     if cfg.picard_iters < 1:
         problems.append(f"picard_iters must be >= 1 (got {cfg.picard_iters})")
-    if cfg.mms_levels < 3:
-        problems.append(f"mms_levels must be >= 3 (got {cfg.mms_levels})")
     problems.extend(cfg.rugosity_init().range_violations())
     for k in cfg.snapshot_steps:
         if k < 0 or k > cfg.n_steps:

@@ -15,7 +15,7 @@ from .bulk import (
     cg_solve,
     history_start,
 )
-from .grid import Edge, EdgeTag, Grid2D, build_grid
+from .grid import Grid2D
 from .model import ConstraintMode, PhysParams, permeability
 from .pool import map_jobs
 
@@ -269,7 +269,7 @@ class ConvergenceTable:
 
 
 def _mms_grid(n: int) -> Grid2D:
-    return build_grid(n, n, {Edge.LEFT: EdgeTag.EXPOSED})
+    return Grid2D(n, n)
 
 
 def _mms_solution(

@@ -1,4 +1,4 @@
-"""Run orchestration: simulation loop, MMS delegation, parameter sweeps."""
+"""Run orchestration: simulation loop and parameter sweeps."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__
 from .bulk import FieldState, step
 from .config import ConfigError, RunConfig, validate_config
-from .diagnostics import InvariantReport, audit_step, mms_convergence
+from .diagnostics import InvariantReport, audit_step
 from .output import (
     ensure_dir,
     profile_rows,
@@ -63,7 +63,7 @@ class RunResult:
 
 def _emit_artifacts(cfg, report, rows, out_dir):
     ensure_dir(out_dir)
-    if cfg.emit_csv and cfg.mode == "simulate":
+    if cfg.emit_csv:
         write_profiles_csv(os.path.join(out_dir, "profiles.csv"), rows)
     write_invariants_csv(os.path.join(out_dir, "invariants.csv"), report)
     write_manifest(
@@ -72,27 +72,20 @@ def _emit_artifacts(cfg, report, rows, out_dir):
 
 
 def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
-    """Execute one configuration and emit its artifact set.
+    """Simulate one configuration and emit its artifact set.
 
-    Simulate mode starts from s = 0, c = C0 and the configured rugosity
-    profile, advances n_steps, audits every step, and writes profile CSV,
-    optional VTK snapshots, the invariant log, and a manifest that
-    re-parses to the identical RunConfig.  MMS modes delegate to the
-    convergence harness.  The exit status is nonzero iff a strict-mode
-    invariant fails or a solve fails.
+    The run starts from s = 0, c = C0 and the configured rugosity profile,
+    advances n_steps and audits every step.  It writes the invariant log
+    and a manifest that re-parses to the identical RunConfig, plus the
+    profile CSV if emit_csv and VTK snapshots if emit_vtk.  The MMS study
+    is not a run: call diagnostics.mms_convergence or ``sulphsim mms``.
+    The exit status is nonzero iff a strict-mode invariant fails or a
+    solve fails.
     """
     problems = validate_config(cfg)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     out_dir = cfg.out_dir
-
-    if cfg.mode in ("mms_spatial", "mms_temporal"):
-        study = "spatial" if cfg.mode == "mms_spatial" else "temporal"
-        table = mms_convergence(study, cfg.mms_levels, cfg.phys())
-        ensure_dir(out_dir)
-        with open(os.path.join(out_dir, f"mms_{study}.csv"), "w", newline="\n") as fh:
-            fh.write(table.to_csv())
-        return RunResult(0, cfg, InvariantReport(), RunMetrics())
 
     p = cfg.phys()
     grid = cfg.grid()
@@ -116,12 +109,10 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     history: list[TraceRecord] = []
     rows = []
     snapshots = set(cfg.snapshot_steps)
-    emit_fields = cfg.mode == "simulate"
 
     def snapshot(step_idx: int, st: FieldState):
-        if not emit_fields:
-            return
-        rows.extend(profile_rows(st.t, st, grid, cfg.profiles))
+        if cfg.emit_csv:
+            rows.extend(profile_rows(st.t, st, grid, cfg.profiles))
         if cfg.emit_vtk:
             ensure_dir(out_dir)
             write_vtk(

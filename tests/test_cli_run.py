@@ -89,9 +89,15 @@ class TestRun:
         b = (tmp_path / "s2" / "profiles.csv").read_bytes()
         assert a != b
 
-    def test_audit_only_suppresses_field_output(self, tmp_path):
-        cfg = small_config(tmp_path / "audit", mode="audit_only")
-        res = run(cfg)
+    def test_audit_only_suppresses_field_output(self, tmp_path, monkeypatch):
+        import sulphsim.runner as runner_mod
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("profile rows built for a run that writes no CSV")
+
+        monkeypatch.setattr(runner_mod, "profile_rows", no_rows)
+        cfg = small_config(tmp_path / "audit", emit_csv="false", emit_vtk="false")
+        res = runner_mod.run(cfg)
         assert res.status == 0
         names = sorted(os.listdir(tmp_path / "audit"))
         assert names == ["invariants.csv", "manifest.ini"]
@@ -204,35 +210,6 @@ class TestSweep:
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2
 
-    def test_mms_runs_levels_in_its_sweep_worker(self, tmp_path, monkeypatch):
-        # no pool inside a pool: an MMS-mode config's levels run serially in
-        # the sweep worker, a direct child of this process
-        import sulphsim.diagnostics as diagnostics
-
-        main_pid = os.getpid()
-
-        def report(mf, n, dt, t_end):
-            # An s whose error is the worker's pid everywhere, so a level's
-            # error is that pid when both its solutions ran in one process.
-            # A solution on a pool of the sweep worker's own fails its run.
-            if os.getppid() != main_pid:
-                raise RuntimeError(f"solution ran in a grandchild, under {os.getppid()}")
-            grid = diagnostics._mms_grid(n)
-            return mf.s_exact(grid.x1(), grid.x2(), t_end) + os.getpid()
-
-        monkeypatch.setattr(diagnostics, "_mms_solution", report)
-        monkeypatch.setenv("SULPHSIM_THREADS", "2")
-        cfgs = [small_config(tmp_path / f"m{i}", mode="mms_spatial", mms_levels=3) for i in range(2)]
-        results = sweep(cfgs)
-        assert [r.status for r in results] == [0, 0]
-        level_pids = []
-        for cfg in cfgs:
-            rows = (tmp_path / os.path.basename(cfg.out_dir) / "mms_spatial.csv").read_text().split()[1:]
-            pids = {round(float(row.split(",")[3])) for row in rows}
-            assert len(rows) == 3 and len(pids) == 1
-            level_pids.extend(pids)
-        assert main_pid not in level_pids
-
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_results_are_slim_and_pickle(self, tmp_path, monkeypatch, workers):
         monkeypatch.setenv("SULPHSIM_THREADS", workers)
@@ -291,14 +268,18 @@ class TestCli:
         assert len(text.strip().split("\n")) == 4
 
     def test_mms_levels_validated_like_run(self, tmp_path, capsys, monkeypatch):
-        # --levels is the mms_levels key, so it is rejected before any solve
+        # a bad --levels exits 2, like a bad run config, before any solve
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr("sulphsim.cli.mms_convergence", no_solve)
-        code = main(["mms", "--study", "spatial", "--levels", "2", "--out", str(tmp_path)])
-        assert code == 2
-        assert "mms_levels must be >= 3 (got 2)" in capsys.readouterr().err
+        argv = ["mms", "--study", "spatial", "--out", str(tmp_path), "--levels"]
+        assert main(argv + ["2"]) == 2
+        assert "--levels must be >= 3 (got 2)" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["x"])
+        assert info.value.code == 2
+        assert "--levels: invalid int value: 'x'" in capsys.readouterr().err
         assert not (tmp_path / "mms_spatial.csv").exists()
 
     def test_sweep_subcommand(self, tmp_path):

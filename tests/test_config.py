@@ -54,8 +54,10 @@ class TestParsing:
         assert cfg.nu_law == "parabolic"
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="unknown key 'nu_max'"):
-            parse_config("nu_max = 3\n")
+        # mode and mms_levels were keys once: old manifests naming them fail
+        for key in ("nu_max", "mode", "mms_levels"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(f"{key} = 3\n")
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError, match="expected a number"):
@@ -162,6 +164,7 @@ class TestChoices:
             ("nu_law", "foo", "linear, parabolic"),
             ("constraint_mode", "x", "free, box"),
             ("r_init_mode", "bad", "constant, piecewise, weibull"),
+            ("exposed_edge", "north", "left, right, bottom, top, none"),
         ],
     )
     def test_bad_choice_named_once(self, key, value, accepted):

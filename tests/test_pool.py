@@ -1,4 +1,4 @@
-"""pool.map_jobs: a function that cannot reach the workers fails at once."""
+"""pool.map_jobs: no pool inside a pool; a function that cannot reach the workers fails at once."""
 
 import os
 import signal
@@ -9,6 +9,25 @@ from pathlib import Path
 import pytest
 
 import sulphsim
+from sulphsim.pool import map_jobs
+
+
+def _where(job):
+    return os.getpid()
+
+
+def _nested(job):
+    return os.getpid(), map_jobs(_where, [0, 1])
+
+
+def test_worker_runs_its_own_jobs_serially(monkeypatch):
+    # a pool in every worker would oversubscribe the cores
+    monkeypatch.setenv("SULPHSIM_THREADS", "2")
+    results = map_jobs(_nested, [0, 1])
+    for worker, inner in results:
+        assert worker != os.getpid()
+        assert inner == [worker, worker]
+
 
 UNPICKLABLE = """
 from sulphsim.pool import map_jobs
