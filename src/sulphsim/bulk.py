@@ -60,9 +60,6 @@ class FieldState:
     r: np.ndarray
     xi: np.ndarray
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.s.copy(), self.c.copy(), self.r.copy(), self.xi.copy())
-
 
 @dataclass
 class LinearSystem:
@@ -575,11 +572,10 @@ class BalanceTerms:
     s_trace is the frozen s that the final rugosity update read on the
     exposed trace (the c it read is the new c there).  cg_iterations and
     cg_residual hold one entry per Picard sweep.  s_in is the step's
-    input s and s_sweeps each sweep's solution, and s_in_prev and
-    s_sweeps_prev are the same of the step before, when there was one
-    (the arrays themselves, not copies, and never that step's
-    BalanceTerms, which would keep every earlier step alive): the
-    solution history that warm-starts the next step's solves.
+    input s and s_sweeps each sweep's solution (the arrays themselves,
+    not copies): the solution history that warm-starts the next steps'
+    solves.  Nothing here refers to an earlier step, so the terms a
+    caller keeps for warm starts hold those steps alive and no others.
     """
 
     accumulation: float
@@ -590,8 +586,6 @@ class BalanceTerms:
     cg_residual: tuple[float, ...] = ()
     s_in: np.ndarray = field(default_factory=lambda: np.zeros(0))
     s_sweeps: tuple[np.ndarray, ...] = ()
-    s_in_prev: np.ndarray | None = None
-    s_sweeps_prev: tuple[np.ndarray, ...] = ()
 
 
 def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
@@ -625,7 +619,7 @@ def step(
     grid: Grid2D,
     p: PhysParams,
     picard_iters: int = 2,
-    history: BalanceTerms | None = None,
+    history: tuple[BalanceTerms, ...] = (),
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
 
@@ -637,16 +631,16 @@ def step(
     parts of the system that only the time-level-n state fixes are
     computed once.
 
-    history, the previous step's BalanceTerms, only chooses where each
-    sweep's CG starts (see history_start).  Sweep 1 extrapolates s^n,
-    s^(n-1) and s^(n-2): from 3*(s^n - s^(n-1)) + s^(n-2) once the history
-    holds two earlier steps, else from 2*s^n - s^(n-1).  Sweep k >= 2
-    starts from the new sweep k-1 solution s_(k-1)^(n+1) plus the
-    extrapolated sweep-k correction d_k = s_k - s_(k-1): 2*d_k^n -
-    d_k^(n-1), or d_k^n with one step of history.  Without history, sweep
-    1 starts from s^n and sweep k from s_(k-1)^(n+1).  Either way each
-    solve stops at the same tolerance, so the start moves the result only
-    within it.
+    history, the BalanceTerms of the last one or two steps, newest first,
+    only chooses where each sweep's CG starts (see history_start).  Sweep
+    1 extrapolates s^n, s^(n-1) and s^(n-2): from 3*(s^n - s^(n-1)) +
+    s^(n-2) once the history holds two earlier steps, else from 2*s^n -
+    s^(n-1).  Sweep k >= 2 starts from the new sweep k-1 solution
+    s_(k-1)^(n+1) plus the extrapolated sweep-k correction d_k = s_k -
+    s_(k-1): 2*d_k^n - d_k^(n-1), or d_k^n with one step of history.
+    Without history, sweep 1 starts from s^n and sweep k from
+    s_(k-1)^(n+1).  Either way each solve stops at the same tolerance, so
+    the start moves the result only within it.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
@@ -676,15 +670,10 @@ def step(
             r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
         sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
         x0 = s_new
-        if history is not None and k == 0:
-            s_hist = (state.s, history.s_in, history.s_in_prev)
-            x0 = history_start(s_hist if history.s_in_prev is not None else s_hist[:2])
-        elif history is not None and k < len(history.s_sweeps):
-            d_hist = [
-                sw[k] - sw[k - 1]
-                for sw in (history.s_sweeps, history.s_sweeps_prev)
-                if k < len(sw)
-            ]
+        if history and k == 0:
+            x0 = history_start((state.s,) + tuple(h.s_in for h in history))
+        elif history and k < len(history[0].s_sweeps):
+            d_hist = [h.s_sweeps[k] - h.s_sweeps[k - 1] for h in history if k < len(h.s_sweeps)]
             x0 = history_start(d_hist, base=s_new)
         s_new, n_iter, resid = cg_solve(sys, x0=x0, rel_tol=STEP_CG_TOL)
         sweeps.append(s_new)
@@ -713,7 +702,5 @@ def step(
         cg_residual=tuple(resids),
         s_in=state.s,
         s_sweeps=tuple(sweeps),
-        s_in_prev=None if history is None else history.s_in,
-        s_sweeps_prev=() if history is None else history.s_sweeps,
     )
     return new_state, terms

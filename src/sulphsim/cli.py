@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_phys
 from .diagnostics import mms_convergence
 from .output import ensure_dir
 from .runner import run, sweep
@@ -55,12 +55,12 @@ def _overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _load_config(path: str | None, overrides: dict[str, str]):
-    text = ""
-    if path is not None:
-        with open(path) as fh:
-            text = fh.read()
-    return parse_config(text, overrides)
+def _read(path: str | None) -> str:
+    """The text of the config file at path, or "" (all defaults) without one."""
+    if path is None:
+        return ""
+    with open(path) as fh:
+        return fh.read()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
                 overrides["out_dir"] = args.out
             if args.strict:
                 overrides["strict"] = "true"
-            result = run(_load_config(args.config, overrides))
+            result = run(parse_config(_read(args.config), overrides))
             if result.error:
                 print(f"run failed: {result.error}", file=sys.stderr)
             else:
@@ -87,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mms":
             if args.levels < 3:
                 raise ConfigError(f"--levels must be >= 3 (got {args.levels})")
-            cfg = _load_config(args.config, {})
-            table = mms_convergence(args.study, args.levels, cfg.phys())
+            # the study reads only the physical parameters, so only they are validated
+            table = mms_convergence(args.study, args.levels, parse_phys(_read(args.config)))
             print(table)
             out_dir = args.out or "."
             ensure_dir(out_dir)
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
                 entry = line.split("#", 1)[0].strip()
                 if entry:
                     paths.append(entry if os.path.isabs(entry) else os.path.join(base, entry))
-        configs = [_load_config(path, {}) for path in paths]
+        configs = [parse_config(_read(path)) for path in paths]
         out_dir = args.out or base
         ensure_dir(out_dir)
         results = sweep(configs, os.path.join(out_dir, "sweep_summary.csv"))

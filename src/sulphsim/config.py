@@ -4,7 +4,8 @@ The config dialect is flat ``key = value`` lines with ``#`` comments; keys
 are exactly the RunConfig field names, whose physical ones RunConfig
 inherits from PhysParams.  Defaults are overlaid by the file, then by CLI
 overrides.  Validation collects every violated assumption and names it by
-its label, e.g. "(A1): requires A > 0 and A + B*C0 > 0".
+its label, e.g. "(A1): requires A > 0 and A + B*C0 > 0".  parse_phys reads
+a document the same way but validates only its physical parameters.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ def _field_parser(f):
 _PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Defaults overlaid by the document, overlaid by CLI overrides, validated."""
+def _read_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Defaults overlaid by the document, overlaid by CLI overrides, unvalidated."""
     values: dict[str, object] = {}
 
     def apply(key: str, raw: str, where: str):
@@ -190,22 +191,49 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         values["snapshot_steps"] = tuple(
             k for k in RunConfig().snapshot_steps if k <= n_steps
         )
+    return replace(RunConfig(), **values)
 
-    cfg = replace(RunConfig(), **values)
-    problems = validate_config(cfg)
+
+def reject(problems: list[str]) -> None:
+    """Raise one ConfigError naming every problem, if there is any."""
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Defaults overlaid by the document, overlaid by CLI overrides, validated."""
+    cfg = _read_config(text, overrides)
+    reject(validate_config(cfg))
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> list[str]:
-    """Collect every violated invariant; empty list means valid."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    problems: list[str] = [
+def parse_phys(text: str) -> PhysParams:
+    """The physical parameters of a config document, validated alone.
+
+    Every key is read as parse_config reads it, so an unknown key or a
+    malformed value is rejected, but only the physical parameters are
+    validated, under the document's enforce_global_bound: the MMS study
+    reads nothing else, so the run's own keys cannot reject it.
+    """
+    cfg = _read_config(text)
+    p = cfg.phys()
+    reject(_non_finite(p) + p.validate(enforce_global_bound=cfg.enforce_global_bound))
+    return p
+
+
+def _non_finite(obj) -> list[str]:
+    """One message per float field of the dataclass obj that is not finite."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return [
         f"{key} must be finite (got {v})"
         for key, v in values.items()
         if isinstance(v, float) and not math.isfinite(v)
     ]
+
+
+def validate_config(cfg: RunConfig) -> list[str]:
+    """Collect every violated invariant; empty list means valid."""
+    problems = _non_finite(cfg)
     if cfg.exposed_edge not in EDGE_CHOICES:
         problems.append(choice_error("exposed_edge", EDGE_CHOICES, cfg.exposed_edge))
     # every enum key of RunConfig, r_init_mode included, by its own name

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,88 +145,56 @@ class ManufacturedFields:
     continuous counterpart, and a boundary flux added to the exposed
     edge's exchange law -nu(r)(s - sbar) makes s_exact satisfy it, so the
     exchange is exercised with nu(r) of the prescribed r.
+
+    Each field is a function of t and of the spatial factors of its
+    points: node_factors for the bulk fields, edge_factors for those on
+    the left edge.  A caller that evaluates a field at many times computes
+    the factors once.
     """
 
     p: PhysParams
-    # (x1, x2, cos(pi x1), cos(pi x2), sin^2(pi x1)) for one set of nodes,
-    # and (x2, cos(pi x2), rl*(0.5 + 0.25 sin(pi x2))) for one set of
-    # left-edge nodes, set by at_nodes().
-    nodes: tuple | None = field(default=None, compare=False, repr=False)
-    edge: tuple | None = field(default=None, compare=False, repr=False)
 
-    def at_nodes(
-        self, x1: np.ndarray, x2: np.ndarray, edge_x2: np.ndarray | None = None
-    ) -> "ManufacturedFields":
-        """A copy that evaluates the spatial factors once, here.
-
-        The factors are those at the nodes (x1, x2) and, when given, at the
-        left-edge nodes edge_x2.  c_field and source reuse them whenever
-        they are called with x1 and x2, r_field and boundary_flux whenever
-        they are called with edge_x2; none of these arrays may change
-        afterwards.  A subclass that overrides one of those methods keeps
-        its own definition.
-        """
-        edge = None if edge_x2 is None else (edge_x2,) + self._edge_factors(edge_x2)
-        return replace(self, nodes=(x1, x2) + self._factors(x1, x2), edge=edge)
-
-    def _factors(self, x1, x2):
-        """cos(pi x1), cos(pi x2) and sin^2(pi x1)."""
-        nodes = self.nodes
-        if nodes is not None and x1 is nodes[0] and x2 is nodes[1]:
-            return nodes[2:]
+    def node_factors(self, x1, x2):
+        """cos(pi x1), cos(pi x2) and sin^2(pi x1) at the nodes (x1, x2)."""
         return np.cos(np.pi * x1), np.cos(np.pi * x2), np.sin(np.pi * x1) ** 2
 
-    def _edge_factors(self, x2):
-        """cos(pi x2) and rl*(0.5 + 0.25 sin(pi x2)) on the left edge."""
-        edge = self.edge
-        if edge is not None and x2 is edge[0]:
-            return edge[1:]
+    def edge_factors(self, x2):
+        """cos(pi x2) and rl*(0.5 + 0.25 sin(pi x2)) at the left-edge nodes x2."""
         return np.cos(np.pi * x2), self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2))
 
-    def s_exact(self, x1, x2, t):
-        return self._s(np.cos(np.pi * x1), np.cos(np.pi * x2), math.exp(-t))
+    def s_exact(self, nodes, t):
+        cos1, cos2, _ = nodes
+        return math.exp(-t) * cos1 * cos2
 
-    def c_field(self, x1, x2, t):
-        return self._c(self._factors(x1, x2)[0], math.exp(-t))
+    def c_field(self, nodes, t):
+        return self.p.C0 * (0.5 + 0.25 * nodes[0] * math.exp(-t))
 
-    def r_field(self, x2, t):
-        return self._edge_factors(x2)[1] * (1.0 - math.exp(-t))
+    def r_field(self, edge, t):
+        return edge[1] * (1.0 - math.exp(-t))
 
-    # s and c in terms of the spatial factors and of e = exp(-t), so that
-    # each is evaluated once per call, or once per set of nodes (see
-    # at_nodes()).
-
-    def _s(self, cos1, cos2, e):
-        return e * cos1 * cos2
-
-    def _c(self, cos1, e):
-        return self.p.C0 * (0.5 + 0.25 * cos1 * e)
-
-    def source(self, x1, x2, t):
+    def source(self, nodes, t):
         """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
         p = self.p
-        e = math.exp(-t)
-        cos1, cos2, sin1_sq = self._factors(x1, x2)
-        s = self._s(cos1, cos2, e)
-        c = self._c(cos1, e)
+        cos1, cos2, sin1_sq = nodes
+        s = self.s_exact(nodes, t)
+        c = self.c_field(nodes, t)
         phi = p.A + p.B * c
-        c_t = -0.25 * p.C0 * cos1 * e
+        c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
         # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
         # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
         cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
         return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
 
-    def boundary_flux(self, coords: np.ndarray, t: float) -> np.ndarray:
+    def boundary_flux(self, edge, r, t):
         """Flux g on the left edge under which s_exact satisfies the exchange law.
 
+        r is the rugosity r* = r_field(edge, t) the step's assembly reads.
         s_exact has zero normal derivative on every edge, so
         0 = -nu(r*)(s_exact|edge - sbar) + g requires
         g = nu(r*)(s_exact|edge - sbar).
         """
-        p = self.p
-        nu = np.asarray(permeability(self.r_field(coords, t), p), dtype=float)
-        s_edge = self._s(1.0, self._edge_factors(coords)[0], math.exp(-t))  # cos(pi*0) = 1
-        return nu * (s_edge - p.sbar)
+        s_edge = math.exp(-t) * edge[0]  # cos(pi*0) = 1
+        return permeability(r, self.p) * (s_edge - self.p.sbar)
 
 
 @dataclass(frozen=True)
@@ -268,10 +236,6 @@ class ConvergenceTable:
         return "\n".join(out)
 
 
-def _mms_grid(n: int) -> Grid2D:
-    return Grid2D(n, n)
-
-
 def _mms_solution(
     mf: ManufacturedFields,
     n: int,
@@ -280,7 +244,9 @@ def _mms_solution(
 ) -> np.ndarray:
     """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
-    c and r are prescribed.  Each step's CG stops at STEP_CG_TOL, as in
+    c and r are prescribed: the fields' spatial factors are computed once,
+    and each step's r* both sets nu(r*) in the assembly and is passed to
+    boundary_flux.  Each step's CG stops at STEP_CG_TOL, as in
     step(), and starts from the extrapolation of the last steps'
     solutions (see bulk.history_start): step 1 from s^0, step 2 from
     2*s^1 - s^0 and every later step from 3*(s^n - s^(n-1)) + s^(n-2).
@@ -289,23 +255,22 @@ def _mms_solution(
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and >= 0 (t_end={t_end})")
-    grid = _mms_grid(n)
-    x1 = grid.x1()
-    x2 = grid.x2()
+    grid = Grid2D(n, n)
     trace = grid.exposed_trace()
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, t_end):
         raise ValueError(f"dt={dt} does not divide t_end={t_end}")
 
-    mf = mf.at_nodes(x1, x2, trace.coords)
-    s = mf.s_exact(x1, x2, 0.0)
-    c_old = mf.c_field(x1, x2, 0.0)
+    nodes = mf.node_factors(grid.x1(), grid.x2())
+    edge = mf.edge_factors(trace.coords)
+    s = mf.s_exact(nodes, 0.0)
+    c_old = mf.c_field(nodes, 0.0)
     unread = np.zeros(len(trace))  # the old state's r and xi: the assembly reads neither
     s_hist = (s,)  # the last solutions, newest first
     for k in range(1, n_steps + 1):
         t = k * dt
-        c_new = mf.c_field(x1, x2, t)
-        r_new = mf.r_field(trace.coords, t)
+        c_new = mf.c_field(nodes, t)
+        r_new = mf.r_field(edge, t)
         sys = assemble_s_system(
             grid,
             FieldState(t=t - dt, s=s, c=c_old, r=unread, xi=unread),
@@ -313,8 +278,8 @@ def _mms_solution(
             r_new=r_new,
             dt=dt,
             p=mf.p,
-            source=mf.source(x1, x2, t),
-            boundary_flux=mf.boundary_flux(trace.coords, t),
+            source=mf.source(nodes, t),
+            boundary_flux=mf.boundary_flux(edge, r_new, t),
         )
         s, _, _ = cg_solve(sys, x0=history_start(s_hist), rel_tol=STEP_CG_TOL)
         s_hist = (s,) + s_hist[:2]
@@ -339,8 +304,8 @@ def run_mms_level(
     The error is s - s_exact at t_end, in the norms of _error_norms.
     """
     s = _mms_solution(mf, n, dt, t_end)
-    grid = _mms_grid(n)
-    return _error_norms(grid, s - mf.s_exact(grid.x1(), grid.x2(), t_end))
+    grid = Grid2D(n, n)
+    return _error_norms(grid, s - mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), t_end))
 
 
 def _mms_job(job: tuple[ManufacturedFields, int, tuple[float, ...]]) -> list[np.ndarray]:
@@ -401,15 +366,15 @@ def mms_convergence(
         h_or_dt = [1.0 / (n - 1) for n in sizes]
         errors = []
         for n, (s_dt, s_half) in zip(sizes, solved):
-            grid = _mms_grid(n)
+            grid = Grid2D(n, n)
             err = 2.0 * s_half
             err -= s_dt
-            err -= mf.s_exact(grid.x1(), grid.x2(), MMS_T_END)
+            err -= mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), MMS_T_END)
             errors.append(_error_norms(grid, err))
     else:
         (s,) = solved
         h_or_dt = dts[:-1]
-        grid = _mms_grid(TEMPORAL_GRID)
+        grid = Grid2D(TEMPORAL_GRID, TEMPORAL_GRID)
         errors = [_error_norms(grid, a - b) for a, b in zip(s, s[1:])]
 
     rows: list[ConvergenceRow] = []

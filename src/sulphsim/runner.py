@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .bulk import FieldState, step
-from .config import ConfigError, RunConfig, validate_config
+from .config import ConfigError, RunConfig, reject, validate_config
 from .diagnostics import InvariantReport, audit_step
 from .output import (
     ensure_dir,
@@ -82,9 +82,7 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     The exit status is nonzero iff a strict-mode invariant fails or a
     solve fails.
     """
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    reject(validate_config(cfg))
     out_dir = cfg.out_dir
 
     p = cfg.phys()
@@ -127,13 +125,14 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
 
     status = 0
     error = None
-    terms = None  # the previous step's, whose solution history warm-starts the next
+    recent = ()  # the last two steps' terms, newest first, whose solutions warm-start the next
     try:
         for k in range(1, cfg.n_steps + 1):
             r_prev = state.r
             state, terms = step(
-                state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=terms
+                state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=recent
             )
+            recent = (terms,) + recent[:1]
             entry = audit_step(state, p, terms, grid, step_index=k)
             report.append(entry)
             if trace is not None:

@@ -7,8 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
+from sulphsim import diagnostics
 from sulphsim.cli import main
 from sulphsim.config import parse_config
+from sulphsim.model import PhysParams
 from sulphsim.runner import run, sweep
 
 
@@ -281,6 +283,59 @@ class TestCli:
         assert info.value.code == 2
         assert "--levels: invalid int value: 'x'" in capsys.readouterr().err
         assert not (tmp_path / "mms_spatial.csv").exists()
+
+    def test_mms_config_needs_only_valid_physical_parameters(self, tmp_path, capsys):
+        # ny = 4 puts the run's default profile lines off its grid; the study
+        # reads only the physical parameters, so it runs
+        argv = ["mms", "--study", "spatial", "--levels", "3", "--config"]
+        (tmp_path / "ny4.ini").write_text("ny = 4\n")
+        assert main(argv + [str(tmp_path / "ny4.ini"), "--out", str(tmp_path / "ok")]) == 0
+        text = (tmp_path / "ok" / "mms_spatial.csv").read_text()
+        assert text.startswith("level,h_or_dt,err_L2,err_max,order_L2,order_max")
+        assert len(text.strip().split("\n")) == 4
+        (tmp_path / "a.ini").write_text("A = -1\n")
+        assert main(argv + [str(tmp_path / "a.ini"), "--out", str(tmp_path / "bad")]) == 2
+        assert "(A1): requires A > 0" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nope = 1", "unknown key 'nope' (line 1)"),
+            ("lam = abc", "key 'lam': expected a number, got 'abc'"),
+            ("nx = 4.5", "key 'nx': expected an integer, got '4.5'"),
+            ("g = nan", "g must be finite (got nan)"),
+            ("B = 2", "(A9): requires B <= 1/S0"),
+            ("sbar = 2", "(A9): requires 0 <= sbar <= S0"),
+            ("nu_law = cubic", "key 'nu_law': expected one of linear, parabolic, got 'cubic'"),
+        ],
+    )
+    def test_mms_config_rejects_bad_physics_and_text_by_name(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr("sulphsim.cli.mms_convergence", no_solve)
+        (tmp_path / "c.ini").write_text(text + "\n")
+        argv = ["mms", "--study", "spatial", "--config", str(tmp_path / "c.ini")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mms_config_keeps_its_global_bound_switch(self, tmp_path, monkeypatch):
+        # B = 2 breaks (A9) only while enforce_global_bound holds
+        seen = []
+
+        def record(study, levels, p):
+            seen.append(p)
+            return diagnostics.ConvergenceTable(study, [])
+
+        monkeypatch.setattr("sulphsim.cli.mms_convergence", record)
+        (tmp_path / "c.ini").write_text("B = 2\nenforce_global_bound = false\nny = 4\n")
+        argv = ["mms", "--study", "temporal", "--config", str(tmp_path / "c.ini")]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert seen == [PhysParams(B=2.0)]
 
     def test_sweep_subcommand(self, tmp_path):
         c1 = tmp_path / "c1.ini"

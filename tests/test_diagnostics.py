@@ -24,7 +24,7 @@ from sulphsim.diagnostics import (
     mms_convergence,
     run_mms_level,
 )
-from sulphsim.grid import build_grid
+from sulphsim.grid import Grid2D, build_grid
 from sulphsim.model import ConstraintMode, PhysParams, permeability
 
 
@@ -114,16 +114,22 @@ class TestManufacturedSource:
         mf = ManufacturedFields(PhysParams())
         p = mf.p
 
+        def s_at(x1, x2, t):
+            return mf.s_exact(mf.node_factors(x1, x2), t)
+
+        def c_at(x1, x2, t):
+            return mf.c_field(mf.node_factors(x1, x2), t)
+
         def phi_s(x1, x2, t):
-            return (p.A + p.B * mf.c_field(x1, x2, t)) * mf.s_exact(x1, x2, t)
+            return (p.A + p.B * c_at(x1, x2, t)) * s_at(x1, x2, t)
 
         def flux(x1, x2, t, comp):
             h = 1e-6
-            phi = p.A + p.B * mf.c_field(x1, x2, t)
+            phi = p.A + p.B * c_at(x1, x2, t)
             if comp == 0:
-                ds = (mf.s_exact(x1 + h, x2, t) - mf.s_exact(x1 - h, x2, t)) / (2 * h)
+                ds = (s_at(x1 + h, x2, t) - s_at(x1 - h, x2, t)) / (2 * h)
             else:
-                ds = (mf.s_exact(x1, x2 + h, t) - mf.s_exact(x1, x2 - h, t)) / (2 * h)
+                ds = (s_at(x1, x2 + h, t) - s_at(x1, x2 - h, t)) / (2 * h)
             return phi * ds
 
         rng = np.random.default_rng(4)
@@ -136,46 +142,21 @@ class TestManufacturedSource:
                 (flux(x1 + hx, x2, t, 0) - flux(x1 - hx, x2, t, 0)) / (2 * hx)
                 + (flux(x1, x2 + hx, t, 1) - flux(x1, x2 - hx, t, 1)) / (2 * hx)
             )
-            phi = p.A + p.B * mf.c_field(x1, x2, t)
-            reaction = p.lam * phi * mf.c_field(x1, x2, t) * mf.s_exact(x1, x2, t)
+            phi = p.A + p.B * c_at(x1, x2, t)
+            reaction = p.lam * phi * c_at(x1, x2, t) * s_at(x1, x2, t)
             expected = ddt - div + reaction
-            assert mf.source(x1, x2, t) == pytest.approx(expected, abs=2e-5)
-
-    def test_fields_at_nodes_bit_identical(self):
-        mf = ManufacturedFields(PhysParams())
-        grid = build_grid(9, 5)
-        x1, x2 = grid.x1(), grid.x2()
-        bound = mf.at_nodes(x1, x2)
-        assert bound == mf
-        for t in (0.0, 0.03, 0.1):
-            assert np.array_equal(bound.source(x1, x2, t), mf.source(x1, x2, t))
-            assert np.array_equal(bound.c_field(x1, x2, t), mf.c_field(x1, x2, t))
-        # other points are evaluated afresh
-        y1 = x1 + 0.01
-        assert np.array_equal(bound.source(y1, x2, 0.05), mf.source(y1, x2, 0.05))
-        assert not np.array_equal(bound.source(y1, x2, 0.05), mf.source(x1, x2, 0.05))
-
-    def test_fields_at_edge_nodes_bit_identical(self):
-        mf = ManufacturedFields(PhysParams())
-        grid = build_grid(9, 17)
-        coords = grid.exposed_trace().coords
-        bound = mf.at_nodes(grid.x1(), grid.x2(), coords)
-        for t in (0.0, 0.03, 0.1):
-            assert np.array_equal(bound.r_field(coords, t), mf.r_field(coords, t))
-            assert np.array_equal(bound.boundary_flux(coords, t), mf.boundary_flux(coords, t))
-        # other edge nodes are evaluated afresh
-        other = coords * 0.5
-        assert np.array_equal(bound.boundary_flux(other, 0.05), mf.boundary_flux(other, 0.05))
-        assert not np.array_equal(bound.boundary_flux(other, 0.05), mf.boundary_flux(coords, 0.05))
+            assert mf.source(mf.node_factors(x1, x2), t) == pytest.approx(expected, abs=2e-5)
 
     def test_manufactured_solution_satisfies_robin_law(self):
         p = PhysParams()
         mf = ManufacturedFields(p)
         x2 = np.linspace(0, 1, 33)
         t = 0.07
-        nu = permeability(mf.r_field(x2, t), p)
-        s_edge = mf.s_exact(0.0, x2, t)
-        flux = mf.boundary_flux(x2, t)
+        edge = mf.edge_factors(x2)
+        r = mf.r_field(edge, t)
+        nu = permeability(r, p)
+        s_edge = mf.s_exact(mf.node_factors(0.0, x2), t)
+        flux = mf.boundary_flux(edge, r, t)
         # phi*dn(s*) = 0 on the left edge, so -nu(r*)*(s*-sbar) + flux must
         # vanish, with a flux that exercises the exchange
         resid = -nu * (s_edge - p.sbar) + flux
@@ -188,20 +169,20 @@ class ConstantFields(ManufacturedFields):
 
     K = 0.37
 
-    def s_exact(self, x1, x2, t):
-        return self.K * np.ones_like(np.asarray(x1, dtype=float) + np.asarray(x2, dtype=float))
+    def s_exact(self, nodes, t):
+        cos1, cos2, _ = nodes
+        return self.K * np.ones_like(cos1 + cos2)
 
-    def c_field(self, x1, x2, t):
-        return 0.5 * self.p.C0 * np.ones_like(np.asarray(x1, dtype=float))
+    def c_field(self, nodes, t):
+        return 0.5 * self.p.C0 * np.ones_like(nodes[0])
 
-    def source(self, x1, x2, t):
-        c = self.c_field(x1, x2, t)
+    def source(self, nodes, t):
+        c = self.c_field(nodes, t)
         phi = self.p.A + self.p.B * c
         return self.p.lam * phi * c * self.K
 
-    def boundary_flux(self, coords, t):
-        nu = permeability(self.r_field(coords, t), self.p)
-        return nu * (self.K - self.p.sbar)
+    def boundary_flux(self, edge, r, t):
+        return permeability(r, self.p) * (self.K - self.p.sbar)
 
 
 class TestMmsMachinery:
@@ -243,8 +224,8 @@ class TestMmsMachinery:
         mf = ManufacturedFields(PhysParams())
         dt = diagnostics.SPATIAL_DT
         s = diagnostics._mms_solution(mf, 17, dt, 5 * dt)
-        grid = diagnostics._mms_grid(17)
-        s0 = mf.s_exact(grid.x1(), grid.x2(), 0.0)
+        grid = Grid2D(17, 17)
+        s0 = mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), 0.0)
         s1, s2, s3, s4, s5 = solutions
         assert s is s5
         assert np.array_equal(starts[0], s0)
@@ -262,8 +243,8 @@ class TestMmsMachinery:
 
     def test_bad_boundary_flux_is_rejected(self):
         class ShortFlux(ManufacturedFields):
-            def boundary_flux(self, coords, t):
-                return super().boundary_flux(coords, t)[:1]
+            def boundary_flux(self, edge, r, t):
+                return super().boundary_flux(edge, r, t)[:1]
 
         with pytest.raises(ValueError, match=r"^boundary_flux has shape \(1,\), expected \(9,\)"):
             run_mms_level(ShortFlux(PhysParams()), 9, 1e-3, 1e-2)
@@ -281,12 +262,43 @@ class TestMmsMachinery:
         mf = ManufacturedFields(PhysParams())
         dt = 1e-3
         diagnostics._mms_solution(mf, 9, dt, 3 * dt)
-        coords = diagnostics._mms_grid(9).exposed_trace().coords
+        edge = mf.edge_factors(Grid2D(9, 9).exposed_trace().coords)
         assert [t for t, _, _ in seen] == [0.0, dt, 2 * dt]
         for k, (_, r_new, flux) in enumerate(seen, start=1):
-            assert np.array_equal(r_new, mf.r_field(coords, k * dt))
-            assert np.array_equal(flux, mf.boundary_flux(coords, k * dt))
+            assert np.array_equal(r_new, mf.r_field(edge, k * dt))
+            assert np.array_equal(flux, mf.boundary_flux(edge, r_new, k * dt))
             assert r_new.min() > 0.0
+
+    def test_factors_once_per_solution_and_each_steps_rugosity_in_its_flux(self, monkeypatch):
+        # node_factors and edge_factors run once per solution, and each
+        # step's boundary_flux reads the very r_new its assembly reads
+        calls = {"node_factors": 0, "edge_factors": 0}
+        flux_r, assembled_r = [], []
+
+        class Counting(ManufacturedFields):
+            def node_factors(self, x1, x2):
+                calls["node_factors"] += 1
+                return super().node_factors(x1, x2)
+
+            def edge_factors(self, x2):
+                calls["edge_factors"] += 1
+                return super().edge_factors(x2)
+
+            def boundary_flux(self, edge, r, t):
+                flux_r.append(r)
+                return super().boundary_flux(edge, r, t)
+
+        def recording(grid, state_old, c_new, r_new, dt, p, **kwargs):
+            assembled_r.append(r_new)
+            return assemble_s_system(grid, state_old, c_new, r_new, dt, p, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "assemble_s_system", recording)
+        dt = 1e-3
+        diagnostics._mms_solution(Counting(PhysParams()), 9, dt, 4 * dt)
+        assert calls == {"node_factors": 1, "edge_factors": 1}
+        assert len(flux_r) == len(assembled_r) == 4
+        assert all(a is b for a, b in zip(flux_r, assembled_r))
+        assert not np.array_equal(assembled_r[0], assembled_r[1])
 
     def test_zero_overrides_reproduce_unforced_scheme_bit_exactly(self):
         p = PhysParams()
@@ -387,8 +399,8 @@ def off_by(mf, n, t_end, value):
     Exact to rounding, and so is the error of the spatial study's
     extrapolation 2*s(dt/2) - s(dt) when both solutions are off by value.
     """
-    grid = diagnostics._mms_grid(n)
-    return mf.s_exact(grid.x1(), grid.x2(), t_end) + value
+    grid = Grid2D(n, n)
+    return mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), t_end) + value
 
 
 class TestMmsLevelsInWorkers:

@@ -44,7 +44,7 @@ def admissible_configs(draw):
 
 
 def march(cfg):
-    """The run's steps, each given the last step's history, audited as it goes.
+    """The run's steps, each given the last two steps' history, audited as it goes.
 
     Returns the final state and every audit flag, plus a flag for each step
     in which c rose anywhere.
@@ -53,9 +53,10 @@ def march(cfg):
     r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
     n = grid.n_nodes
     state = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
-    terms, flags = None, []
+    recent, flags = (), []
     for k in range(1, cfg.n_steps + 1):
-        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters, history=terms)
+        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters, history=recent)
+        recent = (terms,) + recent[:1]
         flags += audit_step(new, p, terms, grid, step_index=k).flags
         if (new.c > state.c).any():
             flags.append(f"c rose in step {k}")

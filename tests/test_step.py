@@ -42,9 +42,10 @@ class TestRestState:
         p = PhysParams(sbar=0.0)
         grid = build_grid(9, 9)
         st = initial_state(grid, p)
-        terms = None
+        recent = ()
         for _ in range(5):
-            new, terms = step(st, 1.0 / 5000.0, grid, p, history=terms)
+            new, terms = step(st, 1.0 / 5000.0, grid, p, history=recent)
+            recent = (terms,) + recent[:1]
             assert np.array_equal(new.s, st.s)
             assert np.array_equal(new.c, st.c)
             assert np.array_equal(new.r, st.r)
@@ -179,14 +180,16 @@ def weibull_setup(n, seed, n_steps):
 
 
 def march(st, cfg, grid, p, warm):
-    """cfg.n_steps steps, each given the last step's terms as history when warm.
+    """cfg.n_steps steps, each given the last two steps' terms as history when warm.
 
     Returns the final state and the CG iterations summed per Picard sweep.
     """
-    terms = None
+    recent = ()
     totals = np.zeros(cfg.picard_iters, dtype=int)
     for _ in range(cfg.n_steps):
-        st, terms = step(st, cfg.dt, grid, p, cfg.picard_iters, history=terms if warm else None)
+        st, terms = step(st, cfg.dt, grid, p, cfg.picard_iters, history=recent)
+        if warm:
+            recent = (terms,) + recent[:1]
         totals += terms.cg_iterations
     return st, totals.tolist()
 
@@ -221,13 +224,13 @@ class TestWarmStart:
         assert np.array_equal(starts[2], st1.s)
         assert np.array_equal(starts[3], t2.s_sweeps[0])
         # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
-        st3, t3 = step(st2, cfg.dt, grid, p, history=t2)
+        st3, t3 = step(st2, cfg.dt, grid, p, history=(t2,))
         assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
         assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
         # with two earlier steps: 3 (s^n - s^(n-1)) + s^(n-2), then sweep 1's
         # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
-        _, t4 = step(st3, cfg.dt, grid, p, history=t3)
-        assert t4.s_in_prev is st2.s and t4.s_sweeps_prev is t3.s_sweeps
+        _, t4 = step(st3, cfg.dt, grid, p, history=(t3, t2))
+        assert t3.s_in is st2.s and t4.s_in is st3.s
         assert not any(isinstance(v, bulk.BalanceTerms) for v in vars(t4).values())
         d3 = t3.s_sweeps[1] - t3.s_sweeps[0]
         d2 = t2.s_sweeps[1] - t2.s_sweeps[0]
