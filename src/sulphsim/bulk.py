@@ -618,7 +618,7 @@ def step(
     dt: float,
     grid: Grid2D,
     p: PhysParams,
-    picard_iters: int = 2,
+    picard_iters: int = 1,
     history: tuple[BalanceTerms, ...] = (),
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
@@ -631,14 +631,22 @@ def step(
     parts of the system that only the time-level-n state fixes are
     computed once.
 
+    Sweep 1 freezes max(s^n, 0), except in a single-sweep step whose
+    history holds an earlier step: that one sweep freezes the linear
+    extrapolation max(2*s^n - s^(n-1), 0), the extrapolated explicit
+    coupling of IMEX schemes (Ascher, Ruuth & Wetton 1995), which brings
+    one sweep near the accuracy of two plain ones.  Either frozen s is
+    clipped at 0 and feeds only the kinetics and the rugosity update, so
+    the solve is the same M-matrix solve.
+
     history, the BalanceTerms of the last one or two steps, newest first,
-    only chooses where each sweep's CG starts (see history_start).  Sweep
-    1 extrapolates s^n, s^(n-1) and s^(n-2): from 3*(s^n - s^(n-1)) +
-    s^(n-2) once the history holds two earlier steps, else from 2*s^n -
-    s^(n-1).  Sweep k >= 2 starts from the new sweep k-1 solution
-    s_(k-1)^(n+1) plus the extrapolated sweep-k correction d_k = s_k -
-    s_(k-1): 2*d_k^n - d_k^(n-1), or d_k^n with one step of history.
-    Without history, sweep 1 starts from s^n and sweep k from
+    otherwise only chooses where each sweep's CG starts (see
+    history_start).  Sweep 1 extrapolates s^n, s^(n-1) and s^(n-2): from
+    3*(s^n - s^(n-1)) + s^(n-2) once the history holds two earlier steps,
+    else from 2*s^n - s^(n-1).  Sweep k >= 2 starts from the new sweep
+    k-1 solution s_(k-1)^(n+1) plus the extrapolated sweep-k correction
+    d_k = s_k - s_(k-1): 2*d_k^n - d_k^(n-1), or d_k^n with one step of
+    history.  Without history, sweep 1 starts from s^n and sweep k from
     s_(k-1)^(n+1).  Either way each solve stops at the same tolerance, so
     the start moves the result only within it.
     """
@@ -655,7 +663,10 @@ def step(
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.
-    s_frozen = np.maximum(state.s, 0.0)
+    s_frozen = state.s
+    if picard_iters == 1 and history:
+        s_frozen = history_start((state.s, history[0].s_in))
+    s_frozen = np.maximum(s_frozen, 0.0)
     r_new, xi = state.r, np.zeros_like(state.r)
     s_new = state.s
     sweeps, iters, resids = [], [], []

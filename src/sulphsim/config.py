@@ -41,7 +41,7 @@ class RunConfig(PhysParams):
     # time stepping
     dt: float = 1.0 / 5000.0
     n_steps: int = 100
-    picard_iters: int = 2
+    picard_iters: int = 1
     # deterministic RNG / initial rugosity
     seed: int = 1
     r_init_mode: RugosityInitMode = RugosityInit.mode

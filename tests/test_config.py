@@ -34,7 +34,7 @@ class TestDefaults:
         assert cfg.g == 30.0
         assert cfg.dt == pytest.approx(1.0 / 5000.0)
         assert cfg.nx == cfg.ny == 65
-        assert cfg.picard_iters == 2
+        assert cfg.picard_iters == 1
         assert cfg.exposed_edge == "left"
         assert cfg.snapshot_steps == (5, 15, 50, 100)
 

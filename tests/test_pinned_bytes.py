@@ -5,10 +5,12 @@ current code with recorded outputs, so a change that claims to keep the
 floating-point arithmetic of the s-solve is checked across versions.  A
 change that means to alter the arithmetic regenerates the files with
 
-    PYTHONPATH=src python tests/test_pinned_bytes.py [mms|weibull]
+    PYTHONPATH=src python tests/test_pinned_bytes.py [mms|weibull|weibullp1]
 
-(the named set alone, or both when no set is named) and says why in its
-description.
+(the named sets alone, or all of them when no set is named) and says why
+in its description.  The weibull set runs two plain Picard sweeps per step
+and the weibullp1 set the default single predicted sweep, so each scheme
+is pinned on its own.
 """
 
 import os
@@ -27,7 +29,13 @@ MMS_T_END = 0.005  # 5 steps per level at the spatial study's dt, 10 at dt/2
 WEIBULL_CONFIG = (
     "nx = 33\nny = 33\ndt = 0.01\nn_steps = 60\nnu_law = parabolic\n"
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 7\nemit_vtk = false\n"
+    "picard_iters = 2\n"
 )
+# set name -> (prefix of its files in DATA, config text)
+WEIBULL_SETS = {
+    "weibull": ("weibull33", WEIBULL_CONFIG),
+    "weibullp1": ("weibull33p1", WEIBULL_CONFIG.replace("picard_iters = 2", "picard_iters = 1")),
+}
 WEIBULL_FILES = ("profiles.csv", "invariants.csv")
 
 
@@ -36,8 +44,8 @@ def mms_spatial_csv() -> str:
     return diagnostics.mms_convergence("spatial", 3).to_csv()
 
 
-def weibull_run(out_dir: Path) -> None:
-    result = run(parse_config(WEIBULL_CONFIG + f"out_dir = {out_dir}\n"))
+def weibull_run(text: str, out_dir: Path) -> None:
+    result = run(parse_config(text + f"out_dir = {out_dir}\n"))
     assert result.status == 0, result.error
 
 
@@ -47,12 +55,22 @@ def test_mms_spatial_table_matches_pinned_bytes(monkeypatch):
     assert mms_spatial_csv() == (DATA / "mms_spatial_t0005.csv").read_text()
 
 
+def check_weibull_set(set_name, name, tmp_path_factory):
+    prefix, text = WEIBULL_SETS[set_name]
+    out = tmp_path_factory.getbasetemp() / f"pinned_{set_name}"
+    if not out.exists():  # one run serves every file of its set
+        weibull_run(text, out)
+    assert (out / name).read_bytes() == (DATA / f"{prefix}_{name}").read_bytes()
+
+
 @pytest.mark.parametrize("name", WEIBULL_FILES)
 def test_weibull_run_matches_pinned_bytes(name, tmp_path_factory):
-    out = tmp_path_factory.getbasetemp() / "pinned_weibull"
-    if not out.exists():  # one run serves every file
-        weibull_run(out)
-    assert (out / name).read_bytes() == (DATA / f"weibull33_{name}").read_bytes()
+    check_weibull_set("weibull", name, tmp_path_factory)
+
+
+@pytest.mark.parametrize("name", WEIBULL_FILES)
+def test_weibull_predicted_sweep_run_matches_pinned_bytes(name, tmp_path_factory):
+    check_weibull_set("weibullp1", name, tmp_path_factory)
 
 
 def regenerate_mms() -> None:
@@ -60,19 +78,23 @@ def regenerate_mms() -> None:
     (DATA / "mms_spatial_t0005.csv").write_text(mms_spatial_csv())
 
 
-def regenerate_weibull() -> None:
+def regenerate_weibull(set_name: str) -> None:
+    prefix, text = WEIBULL_SETS[set_name]
     with tempfile.TemporaryDirectory() as tmp:
-        weibull_run(Path(tmp))
+        weibull_run(text, Path(tmp))
         for name in WEIBULL_FILES:
-            (DATA / f"weibull33_{name}").write_bytes((Path(tmp) / name).read_bytes())
+            (DATA / f"{prefix}_{name}").write_bytes((Path(tmp) / name).read_bytes())
 
 
 if __name__ == "__main__":
-    REGENERATE = {"mms": regenerate_mms, "weibull": regenerate_weibull}
-    names = sys.argv[1:] or list(REGENERATE)
-    unknown = [n for n in names if n not in REGENERATE]
+    names = sys.argv[1:] or ["mms", *WEIBULL_SETS]
+    unknown = [n for n in names if n != "mms" and n not in WEIBULL_SETS]
     if unknown:
-        sys.exit(f"usage: {sys.argv[0]} [mms|weibull]  (unknown set: {', '.join(unknown)})")
+        sets = "|".join(["mms", *WEIBULL_SETS])
+        sys.exit(f"usage: {sys.argv[0]} [{sets}]  (unknown set: {', '.join(unknown)})")
     os.environ["SULPHSIM_THREADS"] = "1"
     for name in names:
-        REGENERATE[name]()
+        if name == "mms":
+            regenerate_mms()
+        else:
+            regenerate_weibull(name)

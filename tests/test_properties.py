@@ -1,8 +1,9 @@
 """Property tests of the coupled step over the admissible parameter region.
 
-On 9^2 grids, with lam up to 1e4, dt up to 0.05, both permeability laws and
-both rugosity constraint modes: 15 steps with the warm-started CG solves
-agree with the same 15 steps solved directly, and every step audits clean.
+On 9^2 grids, with lam up to 1e4, dt up to 0.05, both permeability laws,
+both rugosity constraint modes and one predicted or two plain Picard
+sweeps: 15 steps with the warm-started CG solves agree with the same 15
+steps solved directly, and every step audits clean.
 """
 
 from unittest import mock
@@ -35,11 +36,13 @@ def admissible_configs(draw):
     nul = draw(st.floats(0.0, 2.0))
     g = draw(st.floats(0.0, 100.0))
     seed = draw(st.integers(1, 2**31))
+    picard_iters = draw(st.sampled_from([1, 2]))
     return (
         f"nx = 9\nny = 9\ndt = {dt!r}\nn_steps = {N_STEPS}\nlam = {lam!r}\n"
         f"nu_law = {nu_law}\nconstraint_mode = {mode}\nR0 = {r_max!r}\n"
         f"nu0 = {nu0!r}\nnul = {nul!r}\ng = {g!r}\n"
         f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\n"
+        f"picard_iters = {picard_iters}\n"
     )
 
 
@@ -76,10 +79,19 @@ TINY_EXCHANGE = (
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 1\n"
 )
 
+# The stiff corner of the region, where the predicted freeze of a single
+# sweep extrapolates the fastest-changing s.
+STIFF_CORNER = (
+    "nx = 9\nny = 9\ndt = 0.05\nn_steps = 15\nlam = 10000.0\nnu_law = parabolic\n"
+    "constraint_mode = box\nR0 = 0.25\nnu0 = 1.0\nnul = 2.0\ng = 100.0\n"
+    "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 1\npicard_iters = 1\n"
+)
+
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(admissible_configs())
 @example(TINY_EXCHANGE)
+@example(STIFF_CORNER)
 def test_warm_started_steps_match_direct_solves_and_audit_clean(text):
     cfg = parse_config(text)
     got, flags = march(cfg)

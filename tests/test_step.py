@@ -87,7 +87,7 @@ class TestReferenceStep:
 
     def test_golden_values(self, stepped):
         # frozen from a picard_iters=20 run of this configuration, which
-        # agrees with the default to ~5e-11; tolerances reflect that
+        # agrees with two sweeps to ~5e-11; tolerances reflect that
         grid, p, st, _ = stepped
         assert st.s[grid.index(0, 32)] == pytest.approx(0.090430073087617302, abs=1e-9)
         assert st.s[grid.index(1, 32)] == pytest.approx(0.029394854602089723, abs=1e-9)
@@ -163,20 +163,26 @@ class TestNoExposedEdge:
         assert new.s.max() < 0.4
 
 
-def weibull_text(n, seed, n_steps):
+def weibull_text(n, seed, n_steps, picard_iters=1):
     return (
         f"nx = {n}\nny = {n}\ndt = 0.01\nn_steps = {n_steps}\nnu_law = parabolic\n"
         f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\nemit_vtk = false\n"
+        f"picard_iters = {picard_iters}\n"
     )
 
 
-def weibull_setup(n, seed, n_steps):
-    """Config, grid, parameters and initial state of a parabolic Weibull run."""
-    cfg = parse_config(weibull_text(n, seed, n_steps))
+def setup(text):
+    """Config, grid, parameters and initial state of the run that text configures."""
+    cfg = parse_config(text)
     grid, p = cfg.grid(), cfg.phys()
-    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(seed), p)
+    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
     n = grid.n_nodes
     return cfg, grid, p, FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
+
+
+def weibull_setup(n, seed, n_steps, picard_iters=1):
+    """Config, grid, parameters and initial state of a parabolic Weibull run."""
+    return setup(weibull_text(n, seed, n_steps, picard_iters))
 
 
 def march(st, cfg, grid, p, warm):
@@ -202,7 +208,7 @@ class TestWarmStart:
         # before the history argument existed
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20)
         for _ in range(cfg.n_steps):
-            st, _ = step(st, cfg.dt, grid, p)
+            st, _ = step(st, cfg.dt, grid, p, picard_iters=2)
         digest = hashlib.sha256(st.s.tobytes() + st.c.tobytes() + st.r.tobytes()).hexdigest()
         assert digest == "4ad4d5d7a79dc778cebf9e43e262e5d194d1bbb493ff91b43af7806d46664863"
 
@@ -216,20 +222,20 @@ class TestWarmStart:
 
         monkeypatch.setattr(bulk, "cg_solve", recording)
         cfg, grid, p, st0 = weibull_setup(17, seed=3, n_steps=3)
-        st1, _ = step(st0, cfg.dt, grid, p)
-        st2, t2 = step(st1, cfg.dt, grid, p)
+        st1, _ = step(st0, cfg.dt, grid, p, picard_iters=2)
+        st2, t2 = step(st1, cfg.dt, grid, p, picard_iters=2)
         assert t2.s_in is st1.s and t2.s_sweeps[-1] is st2.s
         assert len(t2.cg_iterations) == len(t2.cg_residual) == len(t2.s_sweeps) == 2
         # without history: s^n, then the previous sweep's s
         assert np.array_equal(starts[2], st1.s)
         assert np.array_equal(starts[3], t2.s_sweeps[0])
         # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
-        st3, t3 = step(st2, cfg.dt, grid, p, history=(t2,))
+        st3, t3 = step(st2, cfg.dt, grid, p, picard_iters=2, history=(t2,))
         assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
         assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
         # with two earlier steps: 3 (s^n - s^(n-1)) + s^(n-2), then sweep 1's
         # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
-        _, t4 = step(st3, cfg.dt, grid, p, history=(t3, t2))
+        _, t4 = step(st3, cfg.dt, grid, p, picard_iters=2, history=(t3, t2))
         assert t3.s_in is st2.s and t4.s_in is st3.s
         assert not any(isinstance(v, bulk.BalanceTerms) for v in vars(t4).values())
         d3 = t3.s_sweeps[1] - t3.s_sweeps[0]
@@ -258,8 +264,96 @@ class TestWarmStart:
     def test_per_sweep_iterations_fall(self):
         # 65^2, seed 29, 40 steps: each Picard sweep's CG iterations summed
         # over the run, cold and warm-started
-        cfg, grid, p, st = weibull_setup(65, seed=29, n_steps=40)
+        cfg, grid, p, st = weibull_setup(65, seed=29, n_steps=40, picard_iters=2)
         _, cold = march(st, cfg, grid, p, warm=False)
         _, warm = march(st, cfg, grid, p, warm=True)
         assert cold == [253, 204]
         assert warm == [221, 143]
+
+
+class TestPredictedSweep:
+    """A single-sweep step freezes the linear extrapolation of s."""
+
+    def frozen_inputs(self, monkeypatch, picard_iters):
+        """s^n and the s each c_update_exact call froze, per step, over 6 run-like steps."""
+        c_update_exact = bulk.c_update_exact
+        frozen = []
+
+        def recording(c_n, s_frozen, dt, p):
+            frozen[-1].append(np.array(s_frozen))
+            return c_update_exact(c_n, s_frozen, dt, p)
+
+        monkeypatch.setattr(bulk, "c_update_exact", recording)
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=6, picard_iters=picard_iters)
+        s_in, all_terms, recent = [], [], ()
+        for _ in range(cfg.n_steps):
+            frozen.append([])
+            s_in.append(st.s)
+            st, terms = step(st, cfg.dt, grid, p, picard_iters, history=recent)
+            recent = (terms,) + recent[:1]
+            all_terms.append(terms)
+        return grid.exposed_trace().indices, s_in, frozen, all_terms
+
+    def test_one_sweep_freezes_the_extrapolation(self, monkeypatch):
+        idx, s_in, frozen, all_terms = self.frozen_inputs(monkeypatch, picard_iters=1)
+        want = [np.maximum(s_in[0], 0.0)]
+        want += [np.maximum(2.0 * s - s_prev, 0.0) for s, s_prev in zip(s_in[1:], s_in)]
+        for calls, terms, w in zip(frozen, all_terms, want):
+            assert len(calls) == len(terms.cg_iterations) == 1
+            assert np.array_equal(calls[0], w)
+            assert np.array_equal(terms.s_trace, w[idx])
+
+    def test_negative_extrapolation_is_clipped(self):
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
+        st.s[:] = 0.3
+        s_prev = np.linspace(0.0, 1.0, grid.n_nodes)  # 2*0.3 - s_prev < 0 above 0.6
+        last = bulk.BalanceTerms(0.0, 0.0, 0.0, s_in=s_prev)
+        _, terms = step(st, cfg.dt, grid, p, history=(last,))
+        want = np.maximum(2.0 * st.s - s_prev, 0.0)[grid.exposed_trace().indices]
+        assert (want == 0.0).any() and (want > 0.0).any()
+        assert np.array_equal(terms.s_trace, want)
+
+    def test_two_sweeps_freeze_s_n_then_sweep_1(self, monkeypatch):
+        idx, s_in, frozen, all_terms = self.frozen_inputs(monkeypatch, picard_iters=2)
+        for calls, terms, s in zip(frozen, all_terms, s_in):
+            assert len(calls) == 2
+            assert np.array_equal(calls[0], np.maximum(s, 0.0))
+            assert np.array_equal(calls[1], np.maximum(terms.s_sweeps[0], 0.0))
+            assert np.array_equal(terms.s_trace, calls[1][idx])
+
+
+# 17^2 cases: (config lines, dt, T)
+EQUAL_COST_CASES = {
+    "reference": ("", 0.01, 0.1),
+    "weibull": (
+        "nu_law = parabolic\nr_init_mode = weibull\nweibull_r0 = 0.2\nseed = 3\n",
+        0.04,
+        0.4,
+    ),
+    "box": ("constraint_mode = box\nR0 = 0.25\n", 0.01, 0.1),
+}
+
+
+def solve_to(lines, dt, t_end, picard_iters):
+    """The state at t_end of run-like steps of size dt with the given sweeps."""
+    text = (
+        f"nx = 17\nny = 17\n{lines}dt = {dt!r}\nn_steps = {round(t_end / dt)}\n"
+        f"picard_iters = {picard_iters}\n"
+    )
+    cfg, grid, p, st = setup(text)
+    return march(st, cfg, grid, p, warm=True)[0]
+
+
+@pytest.mark.parametrize("case", list(EQUAL_COST_CASES))
+def test_one_predicted_sweep_at_half_dt_beats_two_plain_sweeps(case):
+    # Equal cost: two solves per unit of dt on either side.  The error is
+    # measured against a dt/64, 4-sweep solution.
+    lines, dt, t_end = EQUAL_COST_CASES[case]
+    ref = solve_to(lines, dt / 64, t_end, 4)
+    one = solve_to(lines, dt / 2, t_end, 1)
+    two = solve_to(lines, dt, t_end, 2)
+    for name in ("s", "c", "r"):
+        want = getattr(ref, name)
+        err_one = np.abs(getattr(one, name) - want).max()
+        err_two = np.abs(getattr(two, name) - want).max()
+        assert err_one < err_two, (name, err_one, err_two)
