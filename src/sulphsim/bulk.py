@@ -48,6 +48,10 @@ from .surface import step_r
 # cg_solve default so the solver error stays well below the 1e-10 invariant
 # tolerances.
 STEP_CG_TOL = 1e-12
+# Most solutions an s-solve's start extrapolates (see history_start).  Each
+# stored solution's CG error is amplified by 2**depth - 1 in the start, so
+# deeper histories gained no iterations on the Weibull runs.
+HISTORY_DEPTH = 7
 
 
 @dataclass
@@ -251,6 +255,23 @@ def _first_non_finite(named, pat: _Pattern) -> str | None:
     return None
 
 
+def _check_shapes(pat: _Pattern, nodal, edge) -> None:
+    """Raise a ValueError naming the first array whose shape does not fit pat.
+
+    nodal and edge are (name, array) pairs of fields on the grid's nodes
+    and on its exposed trace (none when the grid has no exposed edge).
+    Only the shapes are compared; no array is read.
+    """
+    ny, nx = pat.shape
+    m = 0 if pat.trace is None else len(pat.trace)
+    where = "the exposed trace" if m else "a grid with no exposed edge"
+    for named, want, place in ((nodal, (pat.n,), f"the {nx} x {ny} grid"), (edge, (m,), where)):
+        for name, arr in named:
+            shape = np.shape(arr)
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}, expected {want} for {place}")
+
+
 def assemble_s_system(
     grid: Grid2D,
     state_old: FieldState,
@@ -272,17 +293,16 @@ def assemble_s_system(
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (dt={dt})")
     pat = _pattern(grid)
-    bad = _first_non_finite((("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c)), pat)
-    if bad:
-        raise ValueError(f"non-finite values in {bad}")
+    edge = (("r_new", r_new),)
     if boundary_flux is not None:
         if pat.trace is None:
             raise ValueError("boundary_flux given for a grid with no exposed edge")
-        shape, m = np.shape(boundary_flux), len(pat.trace)
-        if shape != (m,):
-            raise ValueError(
-                f"boundary_flux has shape {shape}, expected ({m},) for the exposed trace"
-            )
+        edge += (("boundary_flux", boundary_flux),)
+    nodal = (("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c))
+    _check_shapes(pat, nodal, edge)
+    bad = _first_non_finite(nodal, pat)
+    if bad:
+        raise ValueError(f"non-finite values in {bad}")
     _, rhs = _old_state_terms(pat, state_old, dt, p)
     flux = 0.0 if boundary_flux is None else boundary_flux
     return _assemble(pat, rhs, c_new, r_new, dt, p, source, flux)[0]
@@ -407,8 +427,10 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     model operator and S = sqrt(diag(M)/diag(A)), applied through the
     cosine eigenbasis; for a system built by hand, Jacobi.  Both are
     symmetric positive definite.  The basis is applied as dense products
-    rather than scipy.fft.dctn(type=1): on a 2-core Xeon one apply took
-    80/450/2400 us that way against 190/500/3000 us at 65^2/129^2/257^2.
+    rather than scipy.fft.dctn(type=1): on a 2-core Xeon with two OpenBLAS
+    threads one apply took 48/380/1750 us that way, against 93/410/1790 us
+    for the forward and inverse dctn alone, at 65^2/129^2/257^2 (with one
+    thread, 55/380/2680 us against 130/410/1820 us).
     """
     d = sys.diagonal()
     # min() propagates NaN, so a diagonal holding one goes on to the
@@ -591,23 +613,31 @@ class BalanceTerms:
 def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
     """Where a solve starts, from its quantity's values at the last steps.
 
-    values holds up to three of them, newest first, and the start is
-    their polynomial extrapolation one step ahead: v0, 2*v0 - v1 or
-    3*(v0 - v1) + v2, the last of second order in the step (Fischer's
-    history-based initial guess).  base, when given, is added to it.
-    step() and the MMS harness take their s-solve starts from here;
-    cg_solve copies its start, so with one value and no base v0 itself
-    is returned.
+    values holds m >= 1 of them, newest first, and the start is their
+    interpolating polynomial extrapolated one step ahead (Fischer's
+    history-based initial guess),
+
+        x = sum_{j<m} (-1)^j C(m, j+1) v_j,
+
+    exact for values of a polynomial of degree m - 1 in the step: v0,
+    2*v0 - v1, 3*v0 - 3*v1 + v2, ...  The sum is taken term by term in
+    index order, so two values give 2*v0 - v1 bit for bit.  base, when
+    given, is added to it.  step() and the MMS harness take their s-solve
+    starts from here, from up to HISTORY_DEPTH values; cg_solve copies its
+    start, so with one value and no base v0 itself is returned.
     """
-    if len(values) == 1:
+    m = len(values)
+    if m == 1:
         return values[0] if base is None else np.add(values[0], base)
-    if len(values) == 2:
-        x = 2.0 * values[0]
-        x -= values[1]
-    else:
-        x = np.subtract(values[0], values[1])
-        x *= 3.0
-        x += values[2]
+    x = np.multiply(float(m), values[0])
+    term = np.empty_like(x)
+    for j in range(1, m):
+        coef = math.comb(m, j + 1)
+        v = values[j] if coef == 1 else np.multiply(float(coef), values[j], out=term)
+        if j % 2:
+            x -= v
+        else:
+            x += v
     if base is not None:
         x += base
     return x
@@ -639,16 +669,16 @@ def step(
     clipped at 0 and feeds only the kinetics and the rugosity update, so
     the solve is the same M-matrix solve.
 
-    history, the BalanceTerms of the last one or two steps, newest first,
-    otherwise only chooses where each sweep's CG starts (see
-    history_start).  Sweep 1 extrapolates s^n, s^(n-1) and s^(n-2): from
-    3*(s^n - s^(n-1)) + s^(n-2) once the history holds two earlier steps,
-    else from 2*s^n - s^(n-1).  Sweep k >= 2 starts from the new sweep
-    k-1 solution s_(k-1)^(n+1) plus the extrapolated sweep-k correction
-    d_k = s_k - s_(k-1): 2*d_k^n - d_k^(n-1), or d_k^n with one step of
-    history.  Without history, sweep 1 starts from s^n and sweep k from
-    s_(k-1)^(n+1).  Either way each solve stops at the same tolerance, so
-    the start moves the result only within it.
+    history, the BalanceTerms of the last steps, newest first, otherwise
+    only chooses where each sweep's CG starts (see history_start); only
+    its first HISTORY_DEPTH - 1 entries are read.  Sweep 1 starts from the
+    extrapolation of s^n and the earlier steps' inputs s^(n-1), s^(n-2),
+    ...  Sweep k >= 2 starts from the new sweep k-1 solution
+    s_(k-1)^(n+1) plus the sweep-k correction d_k = s_k - s_(k-1)
+    extrapolated from the earlier steps that made a sweep k.  Without
+    history, sweep 1 starts from s^n and sweep k from s_(k-1)^(n+1).
+    Either way each solve stops at the same tolerance, so the start moves
+    the result only within it.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
@@ -656,7 +686,10 @@ def step(
         raise ValueError(f"dt must be > 0 (dt={dt})")
     pat = _pattern(grid)
     trace = pat.trace
-    bad = _first_non_finite((("s_old", state.s), ("c_old", state.c)), pat)
+    history = history[: HISTORY_DEPTH - 1]
+    nodal = (("s_old", state.s), ("c_old", state.c))
+    _check_shapes(pat, nodal, (("r_old", state.r),))
+    bad = _first_non_finite(nodal, pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
     phi_old, rhs_old = _old_state_terms(pat, state, dt, p)

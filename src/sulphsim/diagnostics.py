@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bulk import (
+    HISTORY_DEPTH,
     STEP_CG_TOL,
     BalanceTerms,
     FieldState,
@@ -247,9 +248,9 @@ def _mms_solution(
     c and r are prescribed: the fields' spatial factors are computed once,
     and each step's r* both sets nu(r*) in the assembly and is passed to
     boundary_flux.  Each step's CG stops at STEP_CG_TOL, as in
-    step(), and starts from the extrapolation of the last steps'
-    solutions (see bulk.history_start): step 1 from s^0, step 2 from
-    2*s^1 - s^0 and every later step from 3*(s^n - s^(n-1)) + s^(n-2).
+    step(), and starts from the polynomial extrapolation of the last
+    HISTORY_DEPTH solutions, or of all of them before as many exist (see
+    bulk.history_start): step 1 from s^0, step 2 from 2*s^1 - s^0, and so on.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")
@@ -282,7 +283,7 @@ def _mms_solution(
             boundary_flux=mf.boundary_flux(edge, r_new, t),
         )
         s, _, _ = cg_solve(sys, x0=history_start(s_hist), rel_tol=STEP_CG_TOL)
-        s_hist = (s,) + s_hist[:2]
+        s_hist = (s,) + s_hist[: HISTORY_DEPTH - 1]
         c_old = c_new
     return s
 

@@ -104,9 +104,18 @@ def write_invariants_csv(path: str, report: InvariantReport) -> None:
         fh.write((INVARIANT_ROW * len(fields)) % tuple(chain.from_iterable(fields)))
 
 
-def write_manifest(path: str, cfg: RunConfig, code_version: str, summary: dict[str, str]) -> None:
+def write_manifest(
+    path: str,
+    cfg: RunConfig,
+    code_version: str,
+    summary: dict[str, str],
+    solver: dict[str, str],
+) -> None:
+    """The config as re-parseable text under comment lines: the code
+    version, the invariant summary and the solver totals."""
     comments = {"code_version": code_version}
     comments.update({f"invariants.{k}": v for k, v in summary.items()})
+    comments.update({f"solver.{k}": v for k, v in solver.items()})
     with open(path, "w", newline="\n") as fh:
         fh.write(config_to_text(cfg, header_comments=comments))
 

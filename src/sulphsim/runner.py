@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bulk import FieldState, step
+from .bulk import HISTORY_DEPTH, FieldState, step
 from .config import ConfigError, RunConfig, reject, validate_config
 from .diagnostics import InvariantReport, audit_step
 from .output import (
@@ -47,7 +47,24 @@ class TraceRecord:
 
 @dataclass
 class RunMetrics:
+    """Per-run results beyond the artifacts: the threshold step and CG totals.
+
+    cg_solves, cg_iterations_total and cg_iterations_max count the s-solves
+    of the steps taken, their summed iterations and the most in one solve;
+    run() writes them to manifest.ini as solver.* comments.
+    """
+
     first_step_half_c0: int | None = None
+    cg_solves: int = 0
+    cg_iterations_total: int = 0
+    cg_iterations_max: int = 0
+
+    def solver_summary(self) -> dict[str, str]:
+        return {
+            "cg_solves": str(self.cg_solves),
+            "cg_iterations_total": str(self.cg_iterations_total),
+            "cg_iterations_max": str(self.cg_iterations_max),
+        }
 
 
 @dataclass
@@ -61,13 +78,17 @@ class RunResult:
     error: str | None = None
 
 
-def _emit_artifacts(cfg, report, rows, out_dir):
+def _emit_artifacts(cfg, report, metrics, rows, out_dir):
     ensure_dir(out_dir)
     if cfg.emit_csv:
         write_profiles_csv(os.path.join(out_dir, "profiles.csv"), rows)
     write_invariants_csv(os.path.join(out_dir, "invariants.csv"), report)
     write_manifest(
-        os.path.join(out_dir, "manifest.ini"), cfg, __version__, report.summary()
+        os.path.join(out_dir, "manifest.ini"),
+        cfg,
+        __version__,
+        report.summary(),
+        metrics.solver_summary(),
     )
 
 
@@ -125,14 +146,19 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
 
     status = 0
     error = None
-    recent = ()  # the last two steps' terms, newest first, whose solutions warm-start the next
+    # the last HISTORY_DEPTH - 1 steps' terms, newest first: with the step's
+    # own s^n, their solutions give each solve's start (bulk.history_start)
+    recent = ()
     try:
         for k in range(1, cfg.n_steps + 1):
             r_prev = state.r
             state, terms = step(
                 state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=recent
             )
-            recent = (terms,) + recent[:1]
+            recent = (terms,) + recent[: HISTORY_DEPTH - 2]
+            metrics.cg_solves += len(terms.cg_iterations)
+            metrics.cg_iterations_total += sum(terms.cg_iterations)
+            metrics.cg_iterations_max = max(metrics.cg_iterations_max, *terms.cg_iterations)
             entry = audit_step(state, p, terms, grid, step_index=k)
             report.append(entry)
             if trace is not None:
@@ -163,7 +189,7 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     except Exception as exc:  # solver failure; keep partial artifacts
         status, error = 1, f"step failed: {exc}"
 
-    _emit_artifacts(cfg, report, rows, out_dir)
+    _emit_artifacts(cfg, report, metrics, rows, out_dir)
     return RunResult(status, cfg, report, metrics, state, history, error)
 
 

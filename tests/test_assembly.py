@@ -243,6 +243,31 @@ class TestStructure:
         with pytest.raises(ValueError, match=f"^non-finite values in {name}$"):
             assemble_s_system(grid, state, arrays["c_new"], np.zeros(3), 1e-3, PhysParams())
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("c_new", "c_new has shape (8,), expected (12,) for the 4 x 3 grid"),
+            ("s_old", "s_old has shape (8,), expected (12,) for the 4 x 3 grid"),
+            ("c_old", "c_old has shape (8,), expected (12,) for the 4 x 3 grid"),
+            ("r_new", "r_new has shape (2,), expected (3,) for the exposed trace"),
+        ],
+    )
+    def test_shape_message_names_the_array(self, name, message):
+        grid = build_grid(4, 3)
+        arrays = {key: np.full(12, 0.5) for key in ("c_new", "s_old", "c_old")}
+        arrays["r_new"] = np.zeros(3)
+        arrays[name] = arrays[name][:-4] if name != "r_new" else np.zeros(2)
+        state = make_state(grid, arrays["c_old"], arrays["s_old"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble_s_system(grid, state, arrays["c_new"], arrays["r_new"], 1e-3, PhysParams())
+
+    def test_rugosity_on_a_grid_without_exposed_edge_is_rejected(self):
+        grid = build_grid(3, 3, isolated_tags())
+        c = np.full(9, 0.5)
+        message = "r_new has shape (3,), expected (0,) for a grid with no exposed edge"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble_s_system(grid, make_state(grid, c, c), c, np.zeros(3), 1e-3, PhysParams())
+
     def test_finite_values_of_any_size_pass_the_scan(self):
         # s_old*s_old would overflow; the scan must not take that for inf
         grid = build_grid(3, 3)

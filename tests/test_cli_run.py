@@ -76,6 +76,32 @@ class TestRun:
         assert "# code_version" in text
         assert "# invariants.steps" in text
 
+    def test_manifest_reports_the_solver_totals(self, tmp_path, monkeypatch):
+        import sulphsim.bulk as bulk
+
+        cg_solve = bulk.cg_solve
+        counts = []
+
+        def counting(sys, **kwargs):
+            out = cg_solve(sys, **kwargs)
+            counts.append(out[1])
+            return out
+
+        monkeypatch.setattr(bulk, "cg_solve", counting)
+        res = run(small_config(tmp_path / "m", picard_iters=2))
+        assert res.status == 0
+        m = res.metrics
+        assert (m.cg_solves, m.cg_iterations_total, m.cg_iterations_max) == (
+            len(counts), sum(counts), max(counts)
+        )
+        assert len(counts) == 40
+        lines = (tmp_path / "m" / "manifest.ini").read_text().splitlines()
+        assert [line for line in lines if line.startswith("# solver.")] == [
+            f"# solver.cg_solves = {len(counts)}",
+            f"# solver.cg_iterations_total = {sum(counts)}",
+            f"# solver.cg_iterations_max = {max(counts)}",
+        ]
+
     def test_same_seed_byte_identical_artifacts(self, tmp_path):
         cfg = small_config(tmp_path / "det")
         run(cfg)

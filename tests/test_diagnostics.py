@@ -196,7 +196,7 @@ class TestMmsMachinery:
     @pytest.mark.parametrize("n", [17, 33])
     def test_warm_started_cg_matches_direct_solves(self, n, monkeypatch):
         # Each CG solve starts from the extrapolation of the last solutions
-        # (bulk.history_start), from step 3 on of second order, and is
+        # (bulk.history_start), up to seven of them, and is
         # refined by at least one iteration; the error norms after 300
         # steps must not move beyond 1e-12 from those
         # of the same level solved directly.
@@ -211,7 +211,8 @@ class TestMmsMachinery:
         assert abs(warm[1] - direct[1]) <= 1e-12
 
     def test_solves_start_from_the_extrapolated_history(self, monkeypatch):
-        # s^0, then 2 s^1 - s^0, then 3 (s^n - s^(n-1)) + s^(n-2) from step 3 on
+        # step k starts from the extrapolation of the last min(k, 7)
+        # solutions, sum_j (-1)^j C(m, j+1) v_j, summed term by term
         starts, solutions = [], []
 
         def recording(sys, x0=None, **kwargs):
@@ -223,16 +224,20 @@ class TestMmsMachinery:
         monkeypatch.setattr(diagnostics, "cg_solve", recording)
         mf = ManufacturedFields(PhysParams())
         dt = diagnostics.SPATIAL_DT
-        s = diagnostics._mms_solution(mf, 17, dt, 5 * dt)
+        s = diagnostics._mms_solution(mf, 17, dt, 9 * dt)
         grid = Grid2D(17, 17)
         s0 = mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), 0.0)
-        s1, s2, s3, s4, s5 = solutions
-        assert s is s5
+        assert s is solutions[-1] and len(starts) == 9
         assert np.array_equal(starts[0], s0)
-        assert np.array_equal(starts[1], 2.0 * s1 - s0)
-        assert np.array_equal(starts[2], 3.0 * (s2 - s1) + s0)
-        assert np.array_equal(starts[3], 3.0 * (s3 - s2) + s1)
-        assert np.array_equal(starts[4], 3.0 * (s4 - s3) + s2)
+        assert np.array_equal(starts[1], 2.0 * solutions[0] - s0)
+        history = [s0]
+        for start, solution in zip(starts, solutions):
+            values = history[::-1][:7]
+            want = len(values) * values[0]
+            for j in range(1, len(values)):
+                want = want + (-1) ** j * math.comb(len(values), j + 1) * values[j]
+            assert np.array_equal(start, want)
+            history.append(solution)
 
     def test_extrapolated_error_matches_a_small_dt_run(self):
         # The spatial study's 17^2 level extrapolates dt = 1e-3 and 5e-4 in

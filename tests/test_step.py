@@ -1,6 +1,7 @@
 """Coupled one-step integrator: rest states, symmetry, bounds, regression."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def weibull_setup(n, seed, n_steps, picard_iters=1):
 
 
 def march(st, cfg, grid, p, warm):
-    """cfg.n_steps steps, each given the last two steps' terms as history when warm.
+    """cfg.n_steps steps, each given the runner's history of earlier steps' terms when warm.
 
     Returns the final state and the CG iterations summed per Picard sweep.
     """
@@ -195,7 +196,7 @@ def march(st, cfg, grid, p, warm):
     for _ in range(cfg.n_steps):
         st, terms = step(st, cfg.dt, grid, p, cfg.picard_iters, history=recent)
         if warm:
-            recent = (terms,) + recent[:1]
+            recent = (terms,) + recent[: bulk.HISTORY_DEPTH - 2]
         totals += terms.cg_iterations
     return st, totals.tolist()
 
@@ -233,14 +234,14 @@ class TestWarmStart:
         st3, t3 = step(st2, cfg.dt, grid, p, picard_iters=2, history=(t2,))
         assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
         assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
-        # with two earlier steps: 3 (s^n - s^(n-1)) + s^(n-2), then sweep 1's
+        # with two earlier steps: 3 s^n - 3 s^(n-1) + s^(n-2), then sweep 1's
         # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
         _, t4 = step(st3, cfg.dt, grid, p, picard_iters=2, history=(t3, t2))
         assert t3.s_in is st2.s and t4.s_in is st3.s
         assert not any(isinstance(v, bulk.BalanceTerms) for v in vars(t4).values())
         d3 = t3.s_sweeps[1] - t3.s_sweeps[0]
         d2 = t2.s_sweeps[1] - t2.s_sweeps[0]
-        assert np.array_equal(starts[6], 3.0 * (st3.s - st2.s) + st1.s)
+        assert np.array_equal(starts[6], 3.0 * st3.s - 3.0 * st2.s + st1.s)
         assert np.array_equal(starts[7], t4.s_sweeps[0] + (2.0 * d3 - d2))
 
     def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
@@ -268,7 +269,59 @@ class TestWarmStart:
         _, cold = march(st, cfg, grid, p, warm=False)
         _, warm = march(st, cfg, grid, p, warm=True)
         assert cold == [253, 204]
-        assert warm == [221, 143]
+        assert warm == [227, 104]
+
+    def test_deep_history_keeps_the_iteration_count_down(self, tmp_path):
+        # the pinned 33^2 Weibull run with its default single sweep: 201 CG
+        # iterations from seven-value starts, 277 from three-value ones
+        result = run(parse_config(weibull_text(33, seed=7, n_steps=60) + f"out_dir = {tmp_path}\n"))
+        assert result.metrics.cg_solves == 60
+        assert result.metrics.cg_iterations_total <= 240
+
+
+class TestHistoryStart:
+    """history_start extrapolates m values by their interpolating polynomial."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_exact_for_polynomials_of_degree_m_minus_1(self, m):
+        # P(t) = sum_k a_k (t/m)^k, so no term dwarfs the others on [-(m-1), 1]
+        a = np.random.default_rng(m).standard_normal((m, 50))
+
+        def poly(t):
+            return sum(a_k * (t / m) ** k for k, a_k in enumerate(a))
+
+        got = bulk.history_start([poly(-j) for j in range(m)])
+        want = poly(1.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_two_values_are_the_linear_extrapolation_bit_for_bit(self):
+        v0, v1 = np.random.default_rng(2).standard_normal((2, 50))
+        assert np.array_equal(bulk.history_start((v0, v1)), 2.0 * v0 - v1)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_base_is_added(self, m):
+        values = list(np.random.default_rng(m).standard_normal((m, 50)))
+        base = np.linspace(-1.0, 1.0, 50)
+        got = bulk.history_start(values, base=base)
+        assert np.array_equal(got, bulk.history_start(values) + base)
+
+
+class TestShapeErrors:
+    """step() names a field whose shape does not fit the grid or its trace."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("s", "s_old has shape (288,), expected (289,) for the 17 x 17 grid"),
+            ("c", "c_old has shape (288,), expected (289,) for the 17 x 17 grid"),
+            ("r", "r_old has shape (16,), expected (17,) for the exposed trace"),
+        ],
+    )
+    def test_message_names_the_field(self, name, message):
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
+        setattr(st, name, getattr(st, name)[:-1])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step(st, cfg.dt, grid, p)
 
 
 class TestPredictedSweep:
