@@ -56,13 +56,21 @@ HISTORY_DEPTH = 7
 
 @dataclass
 class FieldState:
-    """Bulk fields s, c (length nx*ny) plus boundary fields r, xi at one time."""
+    """Bulk fields s, c (length nx*ny) plus boundary fields r, xi at one time.
+
+    history holds the s of up to HISTORY_DEPTH - 1 earlier steps, newest
+    first, one record per step: (s at that step's start, sweep 1's s, ...,
+    sweep K's s).  step() reads it and passes it on; it holds arrays only,
+    so a state keeps no earlier state alive.  A state without it, such as
+    an initial one, starts the history afresh.
+    """
 
     t: float
     s: np.ndarray
     c: np.ndarray
     r: np.ndarray
     xi: np.ndarray
+    history: tuple[tuple[np.ndarray, ...], ...] = ()
 
 
 @dataclass
@@ -593,11 +601,7 @@ class BalanceTerms:
     identity obtained by summing the volume-scaled scheme over all nodes;
     s_trace is the frozen s that the final rugosity update read on the
     exposed trace (the c it read is the new c there).  cg_iterations and
-    cg_residual hold one entry per Picard sweep.  s_in is the step's
-    input s and s_sweeps each sweep's solution (the arrays themselves,
-    not copies): the solution history that warm-starts the next steps'
-    solves.  Nothing here refers to an earlier step, so the terms a
-    caller keeps for warm starts hold those steps alive and no others.
+    cg_residual hold one entry per Picard sweep.
     """
 
     accumulation: float
@@ -606,11 +610,9 @@ class BalanceTerms:
     s_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cg_iterations: tuple[int, ...] = ()
     cg_residual: tuple[float, ...] = ()
-    s_in: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    s_sweeps: tuple[np.ndarray, ...] = ()
 
 
-def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
+def history_start(values) -> np.ndarray:
     """Where a solve starts, from its quantity's values at the last steps.
 
     values holds m >= 1 of them, newest first, and the start is their
@@ -621,14 +623,14 @@ def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
 
     exact for values of a polynomial of degree m - 1 in the step: v0,
     2*v0 - v1, 3*v0 - 3*v1 + v2, ...  The sum is taken term by term in
-    index order, so two values give 2*v0 - v1 bit for bit.  base, when
-    given, is added to it.  step() and the MMS harness take their s-solve
-    starts from here, from up to HISTORY_DEPTH values; cg_solve copies its
-    start, so with one value and no base v0 itself is returned.
+    index order, so two values give 2*v0 - v1 bit for bit.  step() and
+    the MMS harness take their s-solve starts from here, from up to
+    HISTORY_DEPTH values; cg_solve copies its start, so with one value v0
+    itself is returned.
     """
     m = len(values)
     if m == 1:
-        return values[0] if base is None else np.add(values[0], base)
+        return values[0]
     x = np.multiply(float(m), values[0])
     term = np.empty_like(x)
     for j in range(1, m):
@@ -638,8 +640,6 @@ def history_start(values, base: np.ndarray | None = None) -> np.ndarray:
             x -= v
         else:
             x += v
-    if base is not None:
-        x += base
     return x
 
 
@@ -649,7 +649,6 @@ def step(
     grid: Grid2D,
     p: PhysParams,
     picard_iters: int = 1,
-    history: tuple[BalanceTerms, ...] = (),
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
 
@@ -662,23 +661,23 @@ def step(
     computed once.
 
     Sweep 1 freezes max(s^n, 0), except in a single-sweep step whose
-    history holds an earlier step: that one sweep freezes the linear
+    state.history holds an earlier step: that one sweep freezes the linear
     extrapolation max(2*s^n - s^(n-1), 0), the extrapolated explicit
     coupling of IMEX schemes (Ascher, Ruuth & Wetton 1995), which brings
     one sweep near the accuracy of two plain ones.  Either frozen s is
     clipped at 0 and feeds only the kinetics and the rugosity update, so
     the solve is the same M-matrix solve.
 
-    history, the BalanceTerms of the last steps, newest first, otherwise
-    only chooses where each sweep's CG starts (see history_start); only
-    its first HISTORY_DEPTH - 1 entries are read.  Sweep 1 starts from the
-    extrapolation of s^n and the earlier steps' inputs s^(n-1), s^(n-2),
-    ...  Sweep k >= 2 starts from the new sweep k-1 solution
-    s_(k-1)^(n+1) plus the sweep-k correction d_k = s_k - s_(k-1)
-    extrapolated from the earlier steps that made a sweep k.  Without
-    history, sweep 1 starts from s^n and sweep k from s_(k-1)^(n+1).
-    Either way each solve stops at the same tolerance, so the start moves
-    the result only within it.
+    The history otherwise only chooses where each sweep's CG starts (see
+    history_start); only its first HISTORY_DEPTH - 1 records are read.
+    Sweep 1 starts from the extrapolation of s^n and the earlier steps'
+    inputs s^(n-1), s^(n-2), ...  Sweep k >= 2 starts from the new sweep
+    k-1 solution s_(k-1)^(n+1) plus the sweep-k correction d_k = s_k -
+    s_(k-1) extrapolated from the earlier steps that made a sweep k.
+    Without history, sweep 1 starts from s^n and sweep k from
+    s_(k-1)^(n+1).  Either way each solve stops at the same tolerance, so
+    the start moves the result only within it.  The new state's history
+    is this step's record followed by the newest HISTORY_DEPTH - 2 it read.
     """
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
@@ -686,9 +685,12 @@ def step(
         raise ValueError(f"dt must be > 0 (dt={dt})")
     pat = _pattern(grid)
     trace = pat.trace
-    history = history[: HISTORY_DEPTH - 1]
+    history = state.history[: HISTORY_DEPTH - 1]
     nodal = (("s_old", state.s), ("c_old", state.c))
-    _check_shapes(pat, nodal, (("r_old", state.r),))
+    records = tuple(
+        (f"history[{i}][{j}]", v) for i, h in enumerate(history) for j, v in enumerate(h)
+    )
+    _check_shapes(pat, nodal + records, (("r_old", state.r),))
     bad = _first_non_finite(nodal, pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
@@ -698,7 +700,7 @@ def step(
     # leave -1e-12-scale noise which would otherwise flip the decay sign.
     s_frozen = state.s
     if picard_iters == 1 and history:
-        s_frozen = history_start((state.s, history[0].s_in))
+        s_frozen = history_start((state.s, history[0][0]))
     s_frozen = np.maximum(s_frozen, 0.0)
     r_new, xi = state.r, np.zeros_like(state.r)
     s_new = state.s
@@ -715,10 +717,10 @@ def step(
         sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
         x0 = s_new
         if history and k == 0:
-            x0 = history_start((state.s,) + tuple(h.s_in for h in history))
-        elif history and k < len(history[0].s_sweeps):
-            d_hist = [h.s_sweeps[k] - h.s_sweeps[k - 1] for h in history if k < len(h.s_sweeps)]
-            x0 = history_start(d_hist, base=s_new)
+            x0 = history_start((state.s,) + tuple(h[0] for h in history))
+        elif history and k + 1 < len(history[0]):
+            x0 = history_start([h[k + 1] - h[k] for h in history if k + 1 < len(h)])
+            x0 += s_new
         s_new, n_iter, resid = cg_solve(sys, x0=x0, rel_tol=STEP_CG_TOL)
         sweeps.append(s_new)
         iters.append(n_iter)
@@ -736,7 +738,8 @@ def step(
     else:
         boundary = 0.0
 
-    new_state = FieldState(t=state.t + dt, s=s_new, c=c_new, r=r_new, xi=xi)
+    history = ((state.s, *sweeps),) + history[: HISTORY_DEPTH - 2]
+    new_state = FieldState(state.t + dt, s_new, c_new, r_new, xi, history)
     terms = BalanceTerms(
         accumulation=accumulation,
         reaction=reaction,
@@ -744,7 +747,5 @@ def step(
         s_trace=s_tr,
         cg_iterations=tuple(iters),
         cg_residual=tuple(resids),
-        s_in=state.s,
-        s_sweeps=tuple(sweeps),
     )
     return new_state, terms

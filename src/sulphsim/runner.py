@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bulk import HISTORY_DEPTH, FieldState, step
+from .bulk import FieldState, step
 from .config import ConfigError, RunConfig, reject, validate_config
 from .diagnostics import InvariantReport, audit_step
 from .output import (
@@ -146,16 +146,10 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
 
     status = 0
     error = None
-    # the last HISTORY_DEPTH - 1 steps' terms, newest first: with the step's
-    # own s^n, their solutions give each solve's start (bulk.history_start)
-    recent = ()
     try:
         for k in range(1, cfg.n_steps + 1):
             r_prev = state.r
-            state, terms = step(
-                state, cfg.dt, grid, p, picard_iters=cfg.picard_iters, history=recent
-            )
-            recent = (terms,) + recent[: HISTORY_DEPTH - 2]
+            state, terms = step(state, cfg.dt, grid, p, picard_iters=cfg.picard_iters)
             metrics.cg_solves += len(terms.cg_iterations)
             metrics.cg_iterations_total += sum(terms.cg_iterations)
             metrics.cg_iterations_max = max(metrics.cg_iterations_max, *terms.cg_iterations)

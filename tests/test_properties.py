@@ -47,7 +47,7 @@ def admissible_configs(draw):
 
 
 def march(cfg):
-    """The run's steps, each given the last two steps' history, audited as it goes.
+    """The run's steps, audited as it goes.
 
     Returns the final state and every audit flag, plus a flag for each step
     in which c rose anywhere.
@@ -56,10 +56,9 @@ def march(cfg):
     r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
     n = grid.n_nodes
     state = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
-    recent, flags = (), []
+    flags = []
     for k in range(1, cfg.n_steps + 1):
-        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters, history=recent)
-        recent = (terms,) + recent[:1]
+        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)
         flags += audit_step(new, p, terms, grid, step_index=k).flags
         if (new.c > state.c).any():
             flags.append(f"c rose in step {k}")

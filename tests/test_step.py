@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestRestState:
         grid = build_grid(9, 9)
         st = initial_state(grid, p)
         for _ in range(5):
-            new, _ = step(st, 1.0 / 5000.0, grid, p)
+            new, _ = step(replace(st, history=()), 1.0 / 5000.0, grid, p)
             assert np.array_equal(new.s, st.s)
             assert np.array_equal(new.c, st.c)
             assert np.array_equal(new.r, st.r)
@@ -43,10 +44,8 @@ class TestRestState:
         p = PhysParams(sbar=0.0)
         grid = build_grid(9, 9)
         st = initial_state(grid, p)
-        recent = ()
         for _ in range(5):
-            new, terms = step(st, 1.0 / 5000.0, grid, p, history=recent)
-            recent = (terms,) + recent[:1]
+            new, _ = step(st, 1.0 / 5000.0, grid, p)
             assert np.array_equal(new.s, st.s)
             assert np.array_equal(new.c, st.c)
             assert np.array_equal(new.r, st.r)
@@ -187,29 +186,26 @@ def weibull_setup(n, seed, n_steps, picard_iters=1):
 
 
 def march(st, cfg, grid, p, warm):
-    """cfg.n_steps steps, each given the runner's history of earlier steps' terms when warm.
+    """cfg.n_steps steps, each with the history of the earlier ones when warm.
 
     Returns the final state and the CG iterations summed per Picard sweep.
     """
-    recent = ()
     totals = np.zeros(cfg.picard_iters, dtype=int)
     for _ in range(cfg.n_steps):
-        st, terms = step(st, cfg.dt, grid, p, cfg.picard_iters, history=recent)
-        if warm:
-            recent = (terms,) + recent[: bulk.HISTORY_DEPTH - 2]
+        st, terms = step(st if warm else replace(st, history=()), cfg.dt, grid, p, cfg.picard_iters)
         totals += terms.cg_iterations
     return st, totals.tolist()
 
 
 class TestWarmStart:
-    """step()'s history only moves where each sweep's CG starts."""
+    """The state's history only moves where each sweep's CG starts."""
 
     def test_without_history_steps_are_unchanged(self):
         # sha256 of (s, c, r) after 20 steps without history, as computed
-        # before the history argument existed
+        # before there was a history
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20)
         for _ in range(cfg.n_steps):
-            st, _ = step(st, cfg.dt, grid, p, picard_iters=2)
+            st, _ = step(replace(st, history=()), cfg.dt, grid, p, picard_iters=2)
         digest = hashlib.sha256(st.s.tobytes() + st.c.tobytes() + st.r.tobytes()).hexdigest()
         assert digest == "4ad4d5d7a79dc778cebf9e43e262e5d194d1bbb493ff91b43af7806d46664863"
 
@@ -224,25 +220,42 @@ class TestWarmStart:
         monkeypatch.setattr(bulk, "cg_solve", recording)
         cfg, grid, p, st0 = weibull_setup(17, seed=3, n_steps=3)
         st1, _ = step(st0, cfg.dt, grid, p, picard_iters=2)
-        st2, t2 = step(st1, cfg.dt, grid, p, picard_iters=2)
-        assert t2.s_in is st1.s and t2.s_sweeps[-1] is st2.s
-        assert len(t2.cg_iterations) == len(t2.cg_residual) == len(t2.s_sweeps) == 2
+        st2, t2 = step(replace(st1, history=()), cfg.dt, grid, p, picard_iters=2)
+        # each record: the step's s^n, then every sweep's s (the arrays themselves)
+        (rec2,) = st2.history
+        assert rec2[0] is st1.s and rec2[-1] is st2.s
+        assert len(t2.cg_iterations) == len(t2.cg_residual) == len(rec2) - 1 == 2
         # without history: s^n, then the previous sweep's s
         assert np.array_equal(starts[2], st1.s)
-        assert np.array_equal(starts[3], t2.s_sweeps[0])
+        assert np.array_equal(starts[3], rec2[1])
         # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
-        st3, t3 = step(st2, cfg.dt, grid, p, picard_iters=2, history=(t2,))
+        st3, _ = step(st2, cfg.dt, grid, p, picard_iters=2)
+        rec3 = st3.history[0]
+        assert st3.history[1] is rec2
         assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
-        assert np.array_equal(starts[5], t3.s_sweeps[0] + (t2.s_sweeps[1] - t2.s_sweeps[0]))
+        assert np.array_equal(starts[5], rec3[1] + (rec2[2] - rec2[1]))
         # with two earlier steps: 3 s^n - 3 s^(n-1) + s^(n-2), then sweep 1's
         # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
-        _, t4 = step(st3, cfg.dt, grid, p, picard_iters=2, history=(t3, t2))
-        assert t3.s_in is st2.s and t4.s_in is st3.s
-        assert not any(isinstance(v, bulk.BalanceTerms) for v in vars(t4).values())
-        d3 = t3.s_sweeps[1] - t3.s_sweeps[0]
-        d2 = t2.s_sweeps[1] - t2.s_sweeps[0]
+        st4, _ = step(st3, cfg.dt, grid, p, picard_iters=2)
+        rec4 = st4.history[0]
+        assert rec3[0] is st2.s and rec4[0] is st3.s
+        d3 = rec3[2] - rec3[1]
+        d2 = rec2[2] - rec2[1]
         assert np.array_equal(starts[6], 3.0 * st3.s - 3.0 * st2.s + st1.s)
-        assert np.array_equal(starts[7], t4.s_sweeps[0] + (2.0 * d3 - d2))
+        assert np.array_equal(starts[7], rec4[1] + (2.0 * d3 - d2))
+
+    def test_history_keeps_the_last_steps_as_arrays(self):
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20, picard_iters=2)
+        states = [st]
+        for _ in range(cfg.n_steps):
+            states.append(step(states[-1], cfg.dt, grid, p, picard_iters=2)[0])
+        history = states[-1].history
+        assert len(history) == bulk.HISTORY_DEPTH - 1
+        assert all(type(v) is np.ndarray for record in history for v in record)
+        # newest first: record j began at the s of the state j + 1 steps back
+        for j, record in enumerate(history):
+            assert len(record) == 3
+            assert record[0] is states[-2 - j].s and record[-1] is states[-1 - j].s
 
     def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
         text = weibull_text(33, seed=7, n_steps=60)
@@ -256,11 +269,16 @@ class TestWarmStart:
             assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), name
 
     def test_run_gives_each_step_the_last_steps_history(self, tmp_path):
+        # a plain step() loop runs the run's scheme, bit for bit
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=15)
         got = run(parse_config(weibull_text(17, 3, 15) + f"out_dir = {tmp_path}\n")).final_state
-        want, _ = march(st, cfg, grid, p, warm=True)
-        for name in ("s", "c", "r"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for _ in range(cfg.n_steps):
+            st, _ = step(st, cfg.dt, grid, p)
+        for name in ("s", "c", "r", "xi"):
+            assert np.array_equal(getattr(got, name), getattr(st, name)), name
+        assert len(got.history) == len(st.history)
+        for a, b in zip(got.history, st.history):
+            assert len(a) == len(b) and all(map(np.array_equal, a, b))
 
     def test_per_sweep_iterations_fall(self):
         # 65^2, seed 29, 40 steps: each Picard sweep's CG iterations summed
@@ -298,13 +316,6 @@ class TestHistoryStart:
         v0, v1 = np.random.default_rng(2).standard_normal((2, 50))
         assert np.array_equal(bulk.history_start((v0, v1)), 2.0 * v0 - v1)
 
-    @pytest.mark.parametrize("m", [1, 2, 7])
-    def test_base_is_added(self, m):
-        values = list(np.random.default_rng(m).standard_normal((m, 50)))
-        base = np.linspace(-1.0, 1.0, 50)
-        got = bulk.history_start(values, base=base)
-        assert np.array_equal(got, bulk.history_start(values) + base)
-
 
 class TestShapeErrors:
     """step() names a field whose shape does not fit the grid or its trace."""
@@ -323,12 +334,24 @@ class TestShapeErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             step(st, cfg.dt, grid, p)
 
+    def test_message_names_the_history_record(self):
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
+        st, _ = step(st, cfg.dt, grid, p)
+        st = replace(st, history=st.history + ((st.s, st.s[:-1]),))
+        message = "history[1][1] has shape (288,), expected (289,) for the 17 x 17 grid"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step(st, cfg.dt, grid, p)
+
 
 class TestPredictedSweep:
     """A single-sweep step freezes the linear extrapolation of s."""
 
     def frozen_inputs(self, monkeypatch, picard_iters):
-        """s^n and the s each c_update_exact call froze, per step, over 6 run-like steps."""
+        """Per step of 6 run-like steps: the s each c_update_exact call froze,
+        the step's terms and its history record.
+
+        A record starts with the step's s^n.
+        """
         c_update_exact = bulk.c_update_exact
         frozen = []
 
@@ -338,19 +361,19 @@ class TestPredictedSweep:
 
         monkeypatch.setattr(bulk, "c_update_exact", recording)
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=6, picard_iters=picard_iters)
-        s_in, all_terms, recent = [], [], ()
+        all_terms, records = [], []
         for _ in range(cfg.n_steps):
             frozen.append([])
-            s_in.append(st.s)
-            st, terms = step(st, cfg.dt, grid, p, picard_iters, history=recent)
-            recent = (terms,) + recent[:1]
+            st, terms = step(st, cfg.dt, grid, p, picard_iters)
             all_terms.append(terms)
-        return grid.exposed_trace().indices, s_in, frozen, all_terms
+            records.append(st.history[0])
+        return grid.exposed_trace().indices, frozen, all_terms, records
 
     def test_one_sweep_freezes_the_extrapolation(self, monkeypatch):
-        idx, s_in, frozen, all_terms = self.frozen_inputs(monkeypatch, picard_iters=1)
-        want = [np.maximum(s_in[0], 0.0)]
-        want += [np.maximum(2.0 * s - s_prev, 0.0) for s, s_prev in zip(s_in[1:], s_in)]
+        idx, frozen, all_terms, records = self.frozen_inputs(monkeypatch, picard_iters=1)
+        s_n = [record[0] for record in records]
+        want = [np.maximum(s_n[0], 0.0)]
+        want += [np.maximum(2.0 * s - s_prev, 0.0) for s, s_prev in zip(s_n[1:], s_n)]
         for calls, terms, w in zip(frozen, all_terms, want):
             assert len(calls) == len(terms.cg_iterations) == 1
             assert np.array_equal(calls[0], w)
@@ -360,18 +383,18 @@ class TestPredictedSweep:
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
         st.s[:] = 0.3
         s_prev = np.linspace(0.0, 1.0, grid.n_nodes)  # 2*0.3 - s_prev < 0 above 0.6
-        last = bulk.BalanceTerms(0.0, 0.0, 0.0, s_in=s_prev)
-        _, terms = step(st, cfg.dt, grid, p, history=(last,))
+        # the record of the step from s_prev to st.s
+        _, terms = step(replace(st, history=((s_prev, st.s),)), cfg.dt, grid, p)
         want = np.maximum(2.0 * st.s - s_prev, 0.0)[grid.exposed_trace().indices]
         assert (want == 0.0).any() and (want > 0.0).any()
         assert np.array_equal(terms.s_trace, want)
 
     def test_two_sweeps_freeze_s_n_then_sweep_1(self, monkeypatch):
-        idx, s_in, frozen, all_terms = self.frozen_inputs(monkeypatch, picard_iters=2)
-        for calls, terms, s in zip(frozen, all_terms, s_in):
+        idx, frozen, all_terms, records = self.frozen_inputs(monkeypatch, picard_iters=2)
+        for calls, terms, record in zip(frozen, all_terms, records):
             assert len(calls) == 2
-            assert np.array_equal(calls[0], np.maximum(s, 0.0))
-            assert np.array_equal(calls[1], np.maximum(terms.s_sweeps[0], 0.0))
+            assert np.array_equal(calls[0], np.maximum(record[0], 0.0))
+            assert np.array_equal(calls[1], np.maximum(record[1], 0.0))
             assert np.array_equal(terms.s_trace, calls[1][idx])
 
 
