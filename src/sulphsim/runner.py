@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass, field, replace
 
@@ -214,9 +215,10 @@ def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[Run
     results = map_jobs(_sweep_job, configs)
 
     if summary_path is not None:
-        with open(summary_path, "w", newline="\n") as fh:
-            fh.write("out_dir,status,first_step_half_c0,n_steps,seed\n")
+        with open(summary_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["out_dir", "status", "first_step_half_c0", "n_steps", "seed"])
             for r in results:
-                thr = "" if r.metrics.first_step_half_c0 is None else str(r.metrics.first_step_half_c0)
-                fh.write(f"{r.config.out_dir},{r.status},{thr},{r.config.n_steps},{r.config.seed}\n")
+                c = r.config  # csv writes a None threshold as an empty field
+                writer.writerow([c.out_dir, r.status, r.metrics.first_step_half_c0, c.n_steps, c.seed])
     return results

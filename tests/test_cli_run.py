@@ -1,5 +1,6 @@
 """End-to-end checks of run(), sweep(), and the CLI surface."""
 
+import csv
 import os
 import pickle
 import shutil
@@ -179,6 +180,17 @@ class TestSweep:
         del a["manifest.ini"], b["manifest.ini"]  # differ in out_dir only
         assert a == b
 
+    def test_summary_keeps_its_columns_for_a_comma_in_out_dir(self, tmp_path):
+        cfgs = [small_config(tmp_path / d, n_steps=5, snapshot_steps="") for d in ("a,b", "plain")]
+        sweep(cfgs, str(tmp_path / "summary.csv"))
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert rows[1] == [str(tmp_path / "a,b"), "0", "", "5", "1"]
+        # an ordinary path is written as it was before quoting existed
+        text = (tmp_path / "summary.csv").read_text()
+        assert text.endswith(f"\n{tmp_path / 'plain'},0,,5,1\n")
+
     def test_duplicate_out_dirs_rejected(self, tmp_path):
         from sulphsim.config import ConfigError
 
@@ -280,6 +292,12 @@ class TestCli:
         assert (tmp_path / "out" / "profiles.csv").exists()
         manifest = (tmp_path / "out" / "manifest.ini").read_text()
         assert "nu_law = parabolic" in manifest
+
+    def test_run_rejects_an_out_dir_the_manifest_cannot_carry(self, tmp_path, capsys):
+        code = main(["run", "--set", "nx=17", "--set", "ny=17", "--out", str(tmp_path / "x#y")])
+        assert code == 2
+        assert "out_dir must hold no '#'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_run_rejects_unknown_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"

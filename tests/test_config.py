@@ -118,6 +118,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"{key} must be finite"):
             parse_config(f"{key} = {value}\n")
 
+    def test_out_dir_the_manifest_cannot_carry_rejected_by_name(self):
+        # the dialect has no escapes: '#' would start a comment in the
+        # manifest, and a line break would start a new key
+        for bad in ("/tmp/x#y", "/tmp/a\nnx = 9", "/tmp/a\rb"):
+            with pytest.raises(ConfigError, match=r"out_dir must hold no '#' or line break"):
+                parse_config("", {"out_dir": bad})
+
+    @pytest.mark.parametrize("bad", ["a\x0bb", "a\u2028b", " a", "a\t"])
+    def test_other_line_breaks_and_surrounding_whitespace_rejected(self, bad):
+        problems = validate_config(dataclasses.replace(RunConfig(), out_dir=bad))
+        assert len(problems) == 1 and problems[0].startswith("out_dir must hold no")
+
     def test_every_violation_listed(self):
         try:
             parse_config("A = -1\nB = 2\ndt = 0\nsnapshot_steps = \n")
@@ -146,6 +158,15 @@ class TestManifestRoundTrip:
         cfg = parse_config("dt = 0.00020000000000000001\n")
         again = parse_config(config_to_text(cfg))
         assert again.dt == cfg.dt
+
+    @pytest.mark.parametrize(
+        "out_dir",
+        ["/tmp/with space/run 1", "a=b", "semi;colon", "comma,dir", "ünï/códe", r"C:\runs\x"],
+    )
+    def test_ordinary_out_dirs_survive(self, out_dir):
+        cfg = parse_config("", {"out_dir": out_dir})
+        assert cfg.out_dir == out_dir
+        assert parse_config(config_to_text(cfg)) == cfg
 
     def test_every_field_serialized(self):
         text = config_to_text(RunConfig())
