@@ -187,7 +187,7 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [5, 5, 5]
         assert rows[1] == [str(tmp_path / "a,b"), "0", "", "5", "1"]
-        # an ordinary path is written as it was before quoting existed
+        # an ordinary path is written unquoted
         text = (tmp_path / "summary.csv").read_text()
         assert text.endswith(f"\n{tmp_path / 'plain'},0,,5,1\n")
 
