@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 EDGE_CHOICES = tuple(e.value for e in Edge) + ("none",)
 # What a value in the dialect cannot hold, having no escapes: the comment
 # mark and every line boundary str.splitlines knows.
-UNWRITABLE = frozenset("#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_UNWRITABLE = frozenset("#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if cfg.picard_iters < 1:
         problems.append(f"picard_iters must be >= 1 (got {cfg.picard_iters})")
     # the manifest must re-parse to this config, and parsing strips a value
-    if not UNWRITABLE.isdisjoint(cfg.out_dir) or cfg.out_dir != cfg.out_dir.strip():
+    if not _UNWRITABLE.isdisjoint(cfg.out_dir) or cfg.out_dir != cfg.out_dir.strip():
         problems.append(
             f"out_dir must hold no '#' or line break and no surrounding whitespace, "
             f"which manifest.ini cannot carry (got {cfg.out_dir!r})"
