@@ -14,7 +14,7 @@ from .model import (
     project_box,
     rugosity_reaction,
 )
-from .runner import RunResult, run, sweep
+from .runner import RunResult, initial_state, run, sweep
 from .surface import RugosityInit, RugosityInitMode, init_rugosity, step_r, weibull_sample
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "cg_solve",
     "extract_profile",
     "init_rugosity",
+    "initial_state",
     "parse_config",
     "permeability",
     "porosity",

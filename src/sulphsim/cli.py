@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .config import ConfigError, parse_config, parse_phys
@@ -39,10 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--manifest",
         required=True,
-        help="text file with one config path per line ('#' comments allowed)",
+        help="text file with one config path per line; a '#' at the start of a "
+        "line or after whitespace starts a comment, so a path may hold '#'",
     )
     sweep_p.add_argument("--out", help="directory for the combined summary CSV")
     return ap
+
+
+# a manifest comment: '#' at the start of the line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _overrides(pairs: list[str]) -> dict[str, str]:
@@ -103,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             base = os.path.dirname(os.path.abspath(args.manifest))
             paths = []
             for line in fh:
-                entry = line.split("#", 1)[0].strip()
+                entry = _COMMENT.split(line, maxsplit=1)[0].strip()
                 if entry:
                     paths.append(entry if os.path.isabs(entry) else os.path.join(base, entry))
         configs = [parse_config(_read(path)) for path in paths]

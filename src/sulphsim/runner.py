@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +27,6 @@ from .surface import init_rugosity
 
 class StrictInvariantError(RuntimeError):
     pass
-
-
-@dataclass
-class TraceRecord:
-    """Exposed-edge quantities of one step, kept for post-processing.
-
-    The step's rugosity update read r_prev, s_used and c_edge, the new c.
-    """
-
-    step: int
-    t: float
-    s_used: np.ndarray
-    r_prev: np.ndarray
-    r_new: np.ndarray
-    xi: np.ndarray
-    c_edge: np.ndarray
-    s_edge: np.ndarray
 
 
 @dataclass
@@ -74,8 +57,6 @@ class RunResult:
     config: RunConfig
     report: InvariantReport
     metrics: RunMetrics
-    final_state: FieldState | None = None
-    trace_history: list[TraceRecord] = field(default_factory=list)
     error: str | None = None
 
 
@@ -93,14 +74,34 @@ def _emit_artifacts(cfg, report, metrics, rows, out_dir):
     )
 
 
-def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
+def initial_state(cfg: RunConfig) -> FieldState:
+    """The state a run of cfg starts from: s = 0, c = C0 and the configured
+    rugosity profile, drawn from Xoshiro256pp(cfg.seed), on the exposed edge."""
+    p = cfg.phys()
+    grid = cfg.grid()
+    trace = grid.exposed_trace()
+    if trace is not None:
+        r0 = init_rugosity(trace, grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
+    else:
+        r0 = np.zeros(0)
+    n = grid.n_nodes
+    return FieldState(
+        t=0.0,
+        s=np.zeros(n),
+        c=np.full(n, p.C0),
+        r=r0,
+        xi=np.zeros_like(r0),
+    )
+
+
+def run(cfg: RunConfig) -> RunResult:
     """Simulate one configuration and emit its artifact set.
 
-    The run starts from s = 0, c = C0 and the configured rugosity profile,
-    advances n_steps and audits every step.  It writes the invariant log
-    and a manifest that re-parses to the identical RunConfig, plus the
-    profile CSV if emit_csv and VTK snapshots if emit_vtk.  The MMS study
-    is not a run: call diagnostics.mms_convergence or ``sulphsim mms``.
+    The run starts from initial_state(cfg), advances n_steps and audits
+    every step.  It writes the invariant log and a manifest that re-parses
+    to the identical RunConfig, plus the profile CSV if emit_csv and VTK
+    snapshots if emit_vtk.  The MMS study is not a run: call
+    diagnostics.mms_convergence or ``sulphsim mms``.
     The exit status is nonzero iff a strict-mode invariant fails or a
     solve fails.
     """
@@ -110,23 +111,9 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     p = cfg.phys()
     grid = cfg.grid()
     trace = grid.exposed_trace()
-    rng = Xoshiro256pp(cfg.seed)
-    if trace is not None:
-        r0 = init_rugosity(trace, grid, cfg.rugosity_init(), rng, p)
-    else:
-        r0 = np.zeros(0)
-
-    n = grid.n_nodes
-    state = FieldState(
-        t=0.0,
-        s=np.zeros(n),
-        c=np.full(n, p.C0),
-        r=r0,
-        xi=np.zeros_like(r0),
-    )
+    state = initial_state(cfg)
     report = InvariantReport()
     metrics = RunMetrics()
-    history: list[TraceRecord] = []
     rows = []
     snapshots = set(cfg.snapshot_steps)
 
@@ -149,7 +136,6 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
     error = None
     try:
         for k in range(1, cfg.n_steps + 1):
-            r_prev = state.r
             state, terms = step(state, cfg.dt, grid, p, picard_iters=cfg.picard_iters)
             metrics.cg_solves += len(terms.cg_iterations)
             metrics.cg_iterations_total += sum(terms.cg_iterations)
@@ -160,19 +146,6 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
                 c_edge = state.c[trace.indices]
                 if metrics.first_step_half_c0 is None and c_edge.min() < 0.5 * p.C0:
                     metrics.first_step_half_c0 = k
-                if record_traces:
-                    history.append(
-                        TraceRecord(
-                            step=k,
-                            t=state.t,
-                            s_used=terms.s_trace.copy(),
-                            r_prev=r_prev.copy(),
-                            r_new=state.r.copy(),
-                            xi=state.xi.copy(),
-                            c_edge=c_edge.copy(),
-                            s_edge=state.s[trace.indices].copy(),
-                        )
-                    )
             if cfg.strict and entry.flags:
                 raise StrictInvariantError(
                     f"step {k}: invariant violation: " + "; ".join(entry.flags)
@@ -185,18 +158,13 @@ def run(cfg: RunConfig, record_traces: bool = False) -> RunResult:
         status, error = 1, f"step failed: {exc}"
 
     _emit_artifacts(cfg, report, metrics, rows, out_dir)
-    return RunResult(status, cfg, report, metrics, state, history, error)
+    return RunResult(status, cfg, report, metrics, error)
 
 
 def _sweep_job(cfg: RunConfig) -> RunResult:
-    """Run one sweep configuration; an exception becomes a status-1 result.
-
-    The result is slim and picklable, so a worker process can send it back
-    cheaply: it carries no final_state, and run() records no trace_history
-    unless asked to.
-    """
+    """Run one sweep configuration; an exception becomes a status-1 result."""
     try:
-        return replace(run(cfg), final_state=None)
+        return run(cfg)
     except Exception as exc:
         return RunResult(1, cfg, InvariantReport(), RunMetrics(), error=str(exc))
 
@@ -204,14 +172,21 @@ def _sweep_job(cfg: RunConfig) -> RunResult:
 def sweep(configs: list[RunConfig], summary_path: str | None = None) -> list[RunResult]:
     """Run several configurations in up to SULPHSIM_THREADS worker processes.
 
-    Results come back in configuration order and carry no final_state.  One
-    run's failure does not abort the others.  The combined CSV reports the
-    time-to-threshold metric (first step at which the minimum of c on the
-    exposed edge drops below 0.5*C0).
+    Results come back in configuration order.  One run's failure does not
+    abort the others.  The combined CSV reports the time-to-threshold metric
+    (first step at which the minimum of c on the exposed edge drops below
+    0.5*C0).
     """
-    out_dirs = [c.out_dir for c in configs]
-    if len(set(out_dirs)) != len(out_dirs):
-        raise ConfigError("sweep configurations must use distinct out_dirs")
+    seen: dict[str, str] = {}
+    for c in configs:
+        # abspath also normalises, so "d", "./d" and "d/" are one directory
+        key = os.path.abspath(c.out_dir)
+        if key in seen:
+            raise ConfigError(
+                f"sweep configurations must use distinct out_dirs: "
+                f"{seen[key]!r} and {c.out_dir!r} name the same directory"
+            )
+        seen[key] = c.out_dir
     results = map_jobs(_sweep_job, configs)
 
     if summary_path is not None:

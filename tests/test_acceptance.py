@@ -10,18 +10,18 @@ parameters of the model).
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sulphsim.bulk import FieldState, c_update_exact, step
-from sulphsim.config import parse_config
+from sulphsim.bulk import c_update_exact, step
+from sulphsim.config import RunConfig, parse_config
 from sulphsim.diagnostics import mms_convergence
-from sulphsim.grid import build_grid
 from sulphsim.model import PhysParams, rugosity_reaction
 from sulphsim.rng import Xoshiro256pp
-from sulphsim.runner import run
-from sulphsim.surface import RugosityInit, init_rugosity, weibull_sample
+from sulphsim.runner import initial_state, run
+from sulphsim.surface import weibull_sample
 
 
 def announce(n, ok, detail):
@@ -33,13 +33,11 @@ def announce(n, ok, detail):
 @pytest.fixture(scope="session")
 def reference_run():
     """500 steps of the defaults on 65x65 at dt = 1/5000, bounds tracked online."""
-    p = PhysParams()
-    assert p.validate() == []
-    grid = build_grid(65, 65)
-    trace = grid.exposed_trace()
-    r0 = init_rugosity(trace, grid, RugosityInit(), Xoshiro256pp(1), p)
-    n = grid.n_nodes
-    st = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
+    cfg = RunConfig()
+    p = cfg.phys()
+    assert p == PhysParams() and p.validate() == []
+    grid = cfg.grid()
+    st = initial_state(cfg)
 
     stats = {
         "s_min": 0.0,
@@ -191,7 +189,33 @@ class TestCriterion6WeibullSampler:
         )
 
 
-def piecewise_config(nu_law, out_dir):
+def edge_history(cfg):
+    """The exposed-edge quantities of each step of cfg's run, by a step() loop.
+
+    Step k's rugosity update read r_prev, s_used and c_edge, the new c.
+    """
+    grid, p = cfg.grid(), cfg.phys()
+    edge = grid.exposed_trace().indices
+    state = initial_state(cfg)
+    hist = []
+    for k in range(1, cfg.n_steps + 1):
+        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)
+        hist.append(
+            SimpleNamespace(
+                step=k,
+                s_used=terms.s_trace,
+                r_prev=state.r,
+                r_new=new.r,
+                xi=new.xi,
+                c_edge=new.c[edge],
+                s_edge=new.s[edge],
+            )
+        )
+        state = new
+    return hist
+
+
+def piecewise_config(nu_law):
     # base rugosity 0.5*rl: the low half sits at 0.25, the high half at rl,
     # which separates the two permeability laws cleanly
     return parse_config(
@@ -204,32 +228,25 @@ def piecewise_config(nu_law, out_dir):
                 f"nu_law = {nu_law}",
                 "r_init_mode = piecewise",
                 "r_init_r0 = 0.5",
-                "emit_csv = false",
-                "emit_vtk = false",
-                "snapshot_steps =",
-                f"out_dir = {out_dir}",
             ]
         )
     )
 
 
 class TestCriterion7PiecewiseRugosity:
-    def test_directional_reproduction(self, tmp_path):
-        results = {
-            law: run(piecewise_config(law, tmp_path / law), record_traces=True)
-            for law in ("linear", "parabolic")
-        }
-        grid = results["linear"].config.grid()
+    def test_directional_reproduction(self):
+        configs = {law: piecewise_config(law) for law in ("linear", "parabolic")}
+        grid = configs["linear"].grid()
         x2 = grid.exposed_trace().coords
         lo_half = x2 < 0.5
         hi_half = ~lo_half
-        p = results["linear"].config.phys()
+        p = configs["linear"].phys()
 
         crossings = {}
         grads = {}
         late_ratio = {}
-        for law, res in results.items():
-            hist = res.trace_history
+        for law, cfg in configs.items():
+            hist = edge_history(cfg)
             crossings[law] = {
                 name: next(
                     (rec.step for rec in hist if rec.c_edge[mask].mean() < 0.5 * p.C0),
@@ -265,7 +282,7 @@ class TestCriterion7PiecewiseRugosity:
 
 
 class TestCriterion8RandomRugosity:
-    def test_directional_reproduction(self, tmp_path):
+    def test_directional_reproduction(self):
         cfg = parse_config(
             "\n".join(
                 [
@@ -277,15 +294,10 @@ class TestCriterion8RandomRugosity:
                     "r_init_mode = weibull",
                     "weibull_r0 = 0.2",
                     "seed = 2024",
-                    "emit_csv = false",
-                    "emit_vtk = false",
-                    "snapshot_steps =",
-                    f"out_dir = {tmp_path / 'weibull'}",
                 ]
             )
         )
-        res = run(cfg, record_traces=True)
-        hist = res.trace_history
+        hist = edge_history(cfg)
         nondecreasing = all(np.all(rec.r_new >= rec.r_prev) for rec in hist)
         amp0 = float(hist[0].r_prev.max() - hist[0].r_prev.min())
         amp200 = float(hist[199].r_new.max() - hist[199].r_new.min())
@@ -303,7 +315,7 @@ class TestCriterion8RandomRugosity:
 
 
 class TestCriterion9ConstraintMechanics:
-    def test_box_mode(self, tmp_path):
+    def test_box_mode(self):
         cfg = parse_config(
             "\n".join(
                 [
@@ -315,16 +327,11 @@ class TestCriterion9ConstraintMechanics:
                     "R0 = 0.25",
                     "r_init_mode = piecewise",
                     "r_init_r0 = 0.1",
-                    "emit_csv = false",
-                    "emit_vtk = false",
-                    "snapshot_steps =",
-                    f"out_dir = {tmp_path / 'box'}",
                 ]
             )
         )
-        res = run(cfg, record_traces=True)
         p = cfg.phys()
-        hist = res.trace_history
+        hist = edge_history(cfg)
         r_max = max(float(rec.r_new.max()) for rec in hist)
         in_box = r_max <= p.R0 and all(float(rec.r_new.min()) >= 0.0 for rec in hist)
         clamp_steps = sum(1 for rec in hist if np.any(rec.xi != 0.0))

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from sulphsim import diagnostics
+from sulphsim.bulk import step
 from sulphsim.cli import main
-from sulphsim.config import parse_config
+from sulphsim.config import ConfigError, parse_config
 from sulphsim.model import PhysParams
-from sulphsim.runner import run, sweep
+from sulphsim.runner import initial_state, run, sweep
 
 
 def small_config(out_dir, **extra):
@@ -158,12 +159,15 @@ class TestRun:
         assert run(cfg).status == 0
 
     def test_trace_recording(self, tmp_path):
+        # a run's edge data, step by step, comes from a plain step() loop
         cfg = small_config(tmp_path / "tr")
-        res = run(cfg, record_traces=True)
-        assert len(res.trace_history) == cfg.n_steps
-        rec = res.trace_history[-1]
-        assert len(rec.c_edge) == cfg.ny
-        assert np.all(rec.r_new >= rec.r_prev)
+        grid, p = cfg.grid(), cfg.phys()
+        state = initial_state(cfg)
+        for _ in range(cfg.n_steps):
+            new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)
+            assert len(terms.s_trace) == len(new.r) == cfg.ny
+            assert np.all(new.r >= state.r)
+            state = new
 
 
 class TestSweep:
@@ -192,11 +196,23 @@ class TestSweep:
         assert text.endswith(f"\n{tmp_path / 'plain'},0,,5,1\n")
 
     def test_duplicate_out_dirs_rejected(self, tmp_path):
-        from sulphsim.config import ConfigError
-
         cfg = small_config(tmp_path / "dup")
         with pytest.raises(ConfigError):
             sweep([cfg, cfg])
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("same", "./same"), ("same", "same/"), ("same", "{tmp}/same")],
+        ids=["dot", "trailing-slash", "absolute"],
+    )
+    def test_out_dirs_naming_one_directory_rejected(self, tmp_path, monkeypatch, first, second):
+        monkeypatch.chdir(tmp_path)
+        second = second.format(tmp=tmp_path)
+        cfgs = [small_config(first, seed=1), small_config(second, seed=2)]
+        with pytest.raises(ConfigError) as info:
+            sweep(cfgs, str(tmp_path / "summary.csv"))
+        assert f"{first!r} and {second!r} name the same directory" in str(info.value)
+        assert os.listdir(tmp_path) == []
 
     def test_one_failure_does_not_abort_others(self, tmp_path, monkeypatch):
         import sulphsim.runner as runner_mod
@@ -205,10 +221,10 @@ class TestSweep:
         bad = small_config(tmp_path / "bad")
         original = runner_mod.run
 
-        def flaky(cfg, record_traces=False):
+        def flaky(cfg):
             if cfg.out_dir.endswith("bad"):
                 raise RuntimeError("boom")
-            return original(cfg, record_traces)
+            return original(cfg)
 
         monkeypatch.setattr(runner_mod, "run", flaky)
         results = runner_mod.sweep([bad, good], str(tmp_path / "summary.csv"))
@@ -238,7 +254,7 @@ class TestSweep:
     def test_configs_run_in_worker_processes(self, tmp_path, monkeypatch):
         import sulphsim.runner as runner_mod
 
-        def report_pid(cfg, record_traces=False):
+        def report_pid(cfg):
             raise RuntimeError(f"pid {os.getpid()}")
 
         monkeypatch.setattr(runner_mod, "run", report_pid)
@@ -255,16 +271,13 @@ class TestSweep:
         monkeypatch.setenv("SULPHSIM_THREADS", workers)
         cfgs = [small_config(tmp_path / f"k{i}", n_steps=3, snapshot_steps="") for i in range(2)]
         results = sweep(cfgs)
-        assert all(r.status == 0 and r.final_state is None for r in results)
-        assert all(r.trace_history == [] for r in results)
+        assert all(r.status == 0 for r in results)
         back = pickle.loads(pickle.dumps(results))
         assert [r.report.entries for r in back] == [r.report.entries for r in results]
         assert [r.config for r in back] == cfgs
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
     def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, value):
-        from sulphsim.config import ConfigError
-
         monkeypatch.setenv("SULPHSIM_THREADS", value)
         with pytest.raises(ConfigError, match=f"SULPHSIM_THREADS.*{value!r}"):
             sweep([small_config(tmp_path / "never")])
@@ -392,6 +405,22 @@ class TestCli:
         assert code == 0
         summary = (tmp_path / "sweep_summary.csv").read_text()
         assert len(summary.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["a#b/run.ini", "a#b/run.ini  # note", "  a#b/run.ini\t#note"],
+        ids=["hash-in-path", "trailing-comment", "tab-comment"],
+    )
+    def test_sweep_manifest_path_may_hold_a_hash(self, tmp_path, capsys, entry):
+        (tmp_path / "a#b").mkdir()
+        body = "nx = 17\nny = 17\nn_steps = 5\nsnapshot_steps =\nemit_vtk = false\n"
+        (tmp_path / "a#b" / "run.ini").write_text(body + f"out_dir = {tmp_path / 'o'}\n")
+        manifest = tmp_path / "runs.txt"
+        manifest.write_text(f"# a whole-line comment\n{entry}\n   # an indented one\n")
+        code = main(["sweep", "--manifest", str(manifest), "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        assert "1/1 runs succeeded" in capsys.readouterr().out
+        assert (tmp_path / "o" / "manifest.ini").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_sweep_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys, value):

@@ -15,8 +15,7 @@ from sulphsim.bulk import FieldState, _preconditioner, assemble_s_system, cg_sol
 from sulphsim.config import parse_config
 from sulphsim.grid import Edge, EdgeTag, build_grid
 from sulphsim.model import PhysParams
-from sulphsim.rng import Xoshiro256pp
-from sulphsim.surface import init_rugosity
+from sulphsim.runner import initial_state
 
 
 def rough_system(nx, ny, dt=1e-2, seed=3):
@@ -37,10 +36,7 @@ def weibull_state(n):
         f"nx = {n}\nny = {n}\ndt = 0.01\nnu_law = parabolic\n"
         "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 5\nprofiles = x1=0\n"
     )
-    grid, p = cfg.grid(), cfg.phys()
-    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
-    st = FieldState(0.0, np.zeros(grid.n_nodes), np.full(grid.n_nodes, p.C0), r0, np.zeros_like(r0))
-    return grid, p, st
+    return cfg.grid(), cfg.phys(), initial_state(cfg)
 
 
 @pytest.fixture

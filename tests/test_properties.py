@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 import sulphsim.bulk as bulk
-from sulphsim.bulk import FieldState, step
+from sulphsim.bulk import step
 from sulphsim.config import parse_config
 from sulphsim.diagnostics import audit_step
-from sulphsim.rng import Xoshiro256pp
-from sulphsim.surface import init_rugosity
+from sulphsim.runner import initial_state
 
 N_STEPS = 15
 
@@ -53,9 +52,7 @@ def march(cfg):
     in which c rose anywhere.
     """
     grid, p = cfg.grid(), cfg.phys()
-    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
-    n = grid.n_nodes
-    state = FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
+    state = initial_state(cfg)
     flags = []
     for k in range(1, cfg.n_steps + 1):
         new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)

@@ -1,5 +1,6 @@
 """Coupled one-step integrator: rest states, symmetry, bounds, regression."""
 
+import csv
 import hashlib
 import re
 from dataclasses import replace
@@ -9,12 +10,12 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 import sulphsim.bulk as bulk
+import sulphsim.runner as runner
 from sulphsim.bulk import FieldState, step
 from sulphsim.config import parse_config
 from sulphsim.grid import Edge, EdgeTag, build_grid
 from sulphsim.model import PhysParams
 from sulphsim.rng import Xoshiro256pp
-from sulphsim.runner import run
 from sulphsim.surface import RugosityInit, init_rugosity
 
 
@@ -174,10 +175,7 @@ def weibull_text(n, seed, n_steps, picard_iters=1):
 def setup(text):
     """Config, grid, parameters and initial state of the run that text configures."""
     cfg = parse_config(text)
-    grid, p = cfg.grid(), cfg.phys()
-    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
-    n = grid.n_nodes
-    return cfg, grid, p, FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
+    return cfg, cfg.grid(), cfg.phys(), runner.initial_state(cfg)
 
 
 def weibull_setup(n, seed, n_steps, picard_iters=1):
@@ -195,6 +193,29 @@ def march(st, cfg, grid, p, warm):
         st, terms = step(st if warm else replace(st, history=()), cfg.dt, grid, p, cfg.picard_iters)
         totals += terms.cg_iterations
     return st, totals.tolist()
+
+
+def assert_snapshot_holds(out_dir, k, state, grid):
+    """run()'s step-k snapshot in out_dir is state, bit for bit.
+
+    s and c are read from the VTK file and r from the r rows of
+    profiles.csv at state.t; both are written at %.17g, which round-trips.
+    """
+    tokens = (out_dir / f"fields_step{k:06d}.vtk").read_text().split()
+    # SCALARS name double 1 LOOKUP_TABLE default, then the values
+    starts = {tokens[i + 1]: i + 6 for i, tok in enumerate(tokens) if tok == "SCALARS"}
+    for name in ("s", "c"):
+        values = [float(v) for v in tokens[starts[name] : starts[name] + grid.n_nodes]]
+        assert np.array_equal(values, getattr(state, name)), name
+    with open(out_dir / "profiles.csv", newline="") as fh:
+        got = {
+            (float(row["x1"]), float(row["x2"])): float(row["value"])
+            for row in csv.DictReader(fh)
+            if row["field"] == "r" and float(row["t"]) == state.t
+        }
+    trace = grid.exposed_trace()
+    nodes = [] if trace is None else trace.indices
+    assert got == dict(zip(zip(grid.x1()[nodes], grid.x2()[nodes]), state.r))
 
 
 class TestWarmStart:
@@ -257,28 +278,30 @@ class TestWarmStart:
             assert len(record) == 3
             assert record[0] is states[-2 - j].s and record[-1] is states[-1 - j].s
 
-    def test_run_matches_direct_solves(self, tmp_path, monkeypatch):
-        text = weibull_text(33, seed=7, n_steps=60)
-        got = run(parse_config(text + f"out_dir = {tmp_path / 'cg'}\n")).final_state
+    def test_run_matches_direct_solves(self, monkeypatch):
+        cfg, grid, p, st = weibull_setup(33, seed=7, n_steps=60)
+        got, _ = march(st, cfg, grid, p, warm=True)
         monkeypatch.setattr(
             bulk, "cg_solve", lambda sys, **kw: (spsolve(sys.matrix().tocsc(), sys.rhs), 0, 0.0)
         )
-        want = run(parse_config(text + f"out_dir = {tmp_path / 'direct'}\n")).final_state
+        want, _ = march(st, cfg, grid, p, warm=True)
         for name in ("s", "c", "r"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), name
 
     def test_run_gives_each_step_the_last_steps_history(self, tmp_path):
         # a plain step() loop runs the run's scheme, bit for bit
-        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=15)
-        got = run(parse_config(weibull_text(17, 3, 15) + f"out_dir = {tmp_path}\n")).final_state
+        text = weibull_text(17, 3, 15) + f"emit_vtk = true\nout_dir = {tmp_path}\n"
+        cfg, grid, p, st = setup(text)
+        # the run's start is the rule written out in this module's own helper
+        rule = initial_state(grid, p, cfg.rugosity_init(), cfg.seed)
+        for name in ("s", "c", "r", "xi"):
+            assert np.array_equal(getattr(st, name), getattr(rule, name)), name
+        assert cfg.snapshot_steps[-1] == cfg.n_steps
+        assert runner.run(cfg).status == 0
         for _ in range(cfg.n_steps):
             st, _ = step(st, cfg.dt, grid, p)
-        for name in ("s", "c", "r", "xi"):
-            assert np.array_equal(getattr(got, name), getattr(st, name)), name
-        assert len(got.history) == len(st.history)
-        for a, b in zip(got.history, st.history):
-            assert len(a) == len(b) and all(map(np.array_equal, a, b))
+        assert_snapshot_holds(tmp_path, cfg.n_steps, st, grid)
 
     def test_per_sweep_iterations_fall(self):
         # 65^2, seed 29, 40 steps: each Picard sweep's CG iterations summed
@@ -292,9 +315,43 @@ class TestWarmStart:
     def test_deep_history_keeps_the_iteration_count_down(self, tmp_path):
         # the pinned 33^2 Weibull run with its default single sweep: 201 CG
         # iterations from seven-value starts, 277 from three-value ones
-        result = run(parse_config(weibull_text(33, seed=7, n_steps=60) + f"out_dir = {tmp_path}\n"))
+        result = runner.run(parse_config(weibull_text(33, seed=7, n_steps=60) + f"out_dir = {tmp_path}\n"))
         assert result.metrics.cg_solves == 60
         assert result.metrics.cg_iterations_total <= 240
+
+
+# the config each run of TestInitialState appends its out_dir to
+START_CASES = {
+    "weibull": weibull_text(17, seed=3, n_steps=1),
+    # weibull_r0 = 0.2 draws above R0 = 0.21 on some of the top edge's nodes
+    "box_clipped": (
+        "nx = 17\nny = 33\nexposed_edge = top\nconstraint_mode = box\nR0 = 0.21\n"
+        "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 5\nn_steps = 1\n"
+    ),
+    "no_edge": "nx = 9\nny = 9\nexposed_edge = none\nn_steps = 1\n",
+}
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_run_starts_from_it(self, tmp_path, case):
+        text = START_CASES[case] + f"emit_vtk = true\nsnapshot_steps = 0\nout_dir = {tmp_path}\n"
+        cfg, grid, p, st = setup(text)
+        assert runner.run(cfg).status == 0
+        assert_snapshot_holds(tmp_path, 0, st, grid)
+        if case == "box_clipped":
+            assert 0 < np.count_nonzero(st.r == p.R0) < len(st.r)
+        if case == "no_edge":
+            assert len(st.r) == len(st.xi) == 0
+        assert st.t == 0.0 and st.history == ()
+        assert np.array_equal(st.s, np.zeros(grid.n_nodes))
+        assert np.array_equal(st.c, np.full(grid.n_nodes, p.C0))
+        assert np.array_equal(st.xi, np.zeros_like(st.r))
+
+    def test_is_exported(self):
+        import sulphsim
+
+        assert sulphsim.initial_state is runner.initial_state
 
 
 class TestHistoryStart:
