@@ -32,17 +32,71 @@ under refinement.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec  # private; see _matvec
 
 from .grid import GRID_CACHE_SIZE, Grid2D
 from .model import PhysParams, porosity, permeability
 from .surface import step_r
+
+if TYPE_CHECKING:
+    import scipy.sparse
+
+# scipy's compiled sparse kernels, under scipy's own module name; _matvec
+# calls its csr_matvec.
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools(scipy_dir: str) -> None:
+    """Load scipy.sparse._sparsetools from its extension file under scipy_dir.
+
+    Importing it by name would first run the scipy.sparse package init,
+    which imports scipy's array-API layer and with it numpy.f2py,
+    numpy.testing and numpy.ma: 150-190 ms and 22 MB of RSS, more than all
+    the rest of import sulphsim.  The extension holds only compiled kernels
+    and needs no package init.  It is registered under scipy's name, so a
+    later import scipy.sparse takes this module instead of loading the
+    file a second time.
+    """
+    stem = os.path.join(scipy_dir, "sparse", "_sparsetools")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(
+            f"scipy's CSR kernel not found: none of {', '.join(paths)} exists",
+            name=_SPARSETOOLS,
+        )
+    loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+    loader.exec_module(module)
+    sys.modules[_SPARSETOOLS] = module
+
+
+if _SPARSETOOLS not in sys.modules:  # not yet loaded by an import of scipy.sparse
+    _scipy = importlib.util.find_spec("scipy")  # locates the package; imports nothing
+    if _scipy is None:
+        raise ModuleNotFoundError("sulphsim needs scipy", name="scipy")
+    _load_sparsetools(_scipy.submodule_search_locations[0])
+_csr_matvec = sys.modules[_SPARSETOOLS].csr_matvec
+
+# Size of a block allocated and freed once, at import.  glibc's malloc maps
+# a block above its mmap threshold (128 KiB at start) with mmap, and freeing
+# such a block raises that threshold to the block's size and the heap-trim
+# threshold to twice it (mallopt(3)).  Without that, each step from 129^2
+# up returns its freed temporaries to the kernel and faults them back in
+# on the next step: 250-370 page faults per step at 129^2, against 0 with
+# the block.  4 MiB holds the largest per-step array up to 257^2, the
+# 2.6 MB matrix data.  Under another allocator the block is one
+# allocation that changes nothing.
+_HEAP_WARMUP_BYTES = 1 << 22
+np.empty(_HEAP_WARMUP_BYTES // 8)
 
 # CG tolerance of step() and of the MMS harness's solves: tighter than the
 # cg_solve default so the solver error stays well below the 1e-10 invariant
@@ -97,13 +151,19 @@ class LinearSystem:
     def n(self) -> int:
         return len(self.rhs)
 
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> scipy.sparse.csr_matrix:
         """The matrix as a canonical csr_matrix that owns copies of the arrays.
 
         Duplicate entries are summed and each row's columns ascend, so a
         grid system's pads merge into the diagonal (0.0 + d = d) and scipy
         routines that canonicalise in place, such as spsolve, accept it.
+        The first call in a process imports scipy.sparse, which a run never
+        needs (see _load_sparsetools).  Raises a ValueError if the arrays do
+        not form a CSR matrix (see _check_csr).
         """
+        import scipy.sparse as sp
+
+        _check_csr(self)
         a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
         a.sum_duplicates()
         return a
@@ -470,14 +530,14 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """Return x -> A x for sys, as a new array.
+def _check_csr(sys: LinearSystem) -> None:
+    """Raise a ValueError unless sys's arrays form a float64 CSR matrix of sys.n rows.
 
-    Calls scipy's CSR kernel directly: it sums each row in storage order,
-    as csr_matrix @ x does, but skips the csr_matrix construction and the
-    operator dispatch, about 25 us per solve at any grid size.  The kernel
-    checks no sizes, so this makes the checks of csr_matrix's own format
-    check, and checks each vector's shape.
+    Neither scipy's CSR kernel nor csr_matrix.sum_duplicates checks that
+    indptr does not decrease or that each column index is in [0, n), and
+    on arrays that break either they read or write out of bounds.  A grid
+    system that holds its pattern's own read-only indptr and indices was
+    built valid, so only the sizes and the dtype are checked for it.
     """
     n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
     if (
@@ -488,6 +548,26 @@ def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
         or indptr[-1] > data.size
     ):
         raise ValueError(f"system arrays do not form a float64 CSR matrix of {n} rows")
+    pat = sys.pattern
+    if pat is not None and indptr is pat.indptr and indices is pat.indices:
+        return
+    if (np.diff(indptr) < 0).any():
+        raise ValueError("system indptr decreases: the rows do not form a CSR matrix")
+    if indices.size and not (indices.min() >= 0 and indices.max() < n):
+        raise ValueError(f"system column indices are not all in [0, {n})")
+
+
+def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """Return x -> A x for sys, as a new array.
+
+    Calls scipy's CSR kernel directly: it sums each row in storage order,
+    as csr_matrix @ x does, but skips the csr_matrix construction and the
+    operator dispatch, about 25 us per solve at any grid size.  The kernel
+    checks nothing, so this checks the arrays (see _check_csr) and each
+    vector's shape.
+    """
+    _check_csr(sys)
+    n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
 
     def matvec(x: np.ndarray) -> np.ndarray:
         if x.shape != (n,):

@@ -200,6 +200,25 @@ class TestFailFast:
         with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
             cg_solve(sys, x0=st.s)
 
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            ([0, 1, 2, 3, 5], [0, 1, 2, 3, 10**8], "not all in"),
+            ([0, 1, 2, 3, 5], [0, 1, 2, 3, -5], "not all in"),
+            ([0, 3, 2, 4, 5], [0, 1, 2, 3, 3], "indptr decreases"),
+        ],
+    )
+    def test_malformed_csr_arrays_raise_before_any_kernel_reads_them(self, indptr, indices, match):
+        # scipy's CSR kernel and sum_duplicates check neither rule: the first
+        # case read out of bounds (a segfault), the second read before x, the
+        # third freed memory twice in matrix()
+        sys = LinearSystem(
+            np.array(indptr), np.array(indices), np.array([1.0, 1.0, 1.0, 1.0, 0.5]), np.ones(4)
+        )
+        for call in (cg_solve, LinearSystem.matrix, LinearSystem.diagonal):
+            with pytest.raises(ValueError, match=match):
+                call(sys)
+
     def test_nan_diagonal_does_not_hide_a_nonpositive_entry(self):
         a = np.array([[np.nan, 0.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="not strictly positive"):
