@@ -158,11 +158,15 @@ class LinearSystem:
         grid system's pads merge into the diagonal (0.0 + d = d) and scipy
         routines that canonicalise in place, such as spsolve, accept it.
         The first call in a process imports scipy.sparse, which a run never
-        needs (see _load_sparsetools).  Raises a ValueError if the arrays do
-        not form a CSR matrix (see _check_csr).
+        needs (see _load_sparsetools).  An import that finds the kernel
+        module already loaded does not bind it as scipy.sparse's attribute,
+        so this call binds it.  Raises a ValueError if the arrays do not
+        form a CSR matrix (see _check_csr).
         """
         import scipy.sparse as sp
 
+        if "_sparsetools" not in vars(sp):
+            sp._sparsetools = sys.modules[_SPARSETOOLS]
         _check_csr(self)
         a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
         a.sum_duplicates()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,9 +138,29 @@ def audit_step(
 # ---------------------------------------------------------------------------
 
 
+class NodeFactors(NamedTuple):
+    """Per-node coefficients of the nodal fields in powers of E = exp(-t).
+
+    s* = E*s1, c* = 0.5*C0 + E*c1 and f = E*f1 + E^2*f2 + E^3*f3 (see
+    ManufacturedFields.node_factors).
+    """
+
+    s1: np.ndarray
+    c1: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+
+
 @dataclass(frozen=True)
 class ManufacturedFields:
     """Closed-form fields driving the verification of the implicit s-solve.
+
+    With E = exp(-t) the fields are
+
+        s* = E cos(pi x1) cos(pi x2),
+        c* = C0 (0.5 + 0.25 E cos(pi x1)),
+        r* = rl (0.5 + 0.25 sin(pi x2)) (1 - E) on the left edge.
 
     c and r are prescribed (their integrators have exact oracles of their
     own), a volumetric source makes s_exact solve the discrete equation's
@@ -147,44 +168,84 @@ class ManufacturedFields:
     edge's exchange law -nu(r)(s - sbar) makes s_exact satisfy it, so the
     exchange is exercised with nu(r) of the prescribed r.
 
-    Each field is a function of t and of the spatial factors of its
-    points: node_factors for the bulk fields, edge_factors for those on
-    the left edge.  A caller that evaluates a field at many times computes
-    the factors once.
+    Each field is a function of t and of per-point factors: node_factors
+    for the bulk fields, edge_factors for those on the left edge.  Every
+    nodal field is a polynomial in E of degree at most 3, so node_factors
+    returns its coefficients, and s_exact, c_field and source evaluate
+    that polynomial at one E in a few array passes.  A caller that
+    evaluates a field at many times computes the factors once.
     """
 
     p: PhysParams
 
-    def node_factors(self, x1, x2):
-        """cos(pi x1), cos(pi x2) and sin^2(pi x1) at the nodes (x1, x2)."""
-        return np.cos(np.pi * x1), np.cos(np.pi * x2), np.sin(np.pi * x1) ** 2
+    def node_factors(self, x1, x2) -> NodeFactors:
+        """The coefficients of s*, c* and the forcing f in powers of E, at (x1, x2).
+
+        With S1 = cos(pi x1) cos(pi x2), s* = E S1 and
+        c* = 0.5 C0 + E c1, c1 = 0.25 C0 cos(pi x1).  Then
+        phi(c*) = a0 + E a1 with a0 = A + 0.5 B C0 and a1 = B c1, and
+        expanding each term of source's closed form in E gives, with
+        kappa = 2 pi^2 - 1,
+
+            f1 = S1 a0 (kappa + 0.5 lam C0),
+            f2 = S1 ((kappa - 1) a1 + lam (a0 c1 + 0.5 C0 a1))
+                 - 0.25 B C0 pi^2 sin^2(pi x1) cos(pi x2),
+            f3 = lam S1 a1 c1.
+
+        x1 and x2 broadcast against each other; scalars give scalars.
+        """
+        p = self.p
+        cos1, cos2 = np.cos(np.pi * x1), np.cos(np.pi * x2)
+        s1 = cos1 * cos2
+        c1 = 0.25 * p.C0 * cos1
+        a0 = p.A + 0.5 * p.B * p.C0
+        a1 = p.B * c1
+        kappa = 2.0 * np.pi**2 - 1.0
+        cross = 0.25 * p.B * p.C0 * np.pi**2 * np.sin(np.pi * x1) ** 2 * cos2
+        return NodeFactors(
+            s1=s1,
+            c1=c1,
+            f1=(a0 * (kappa + 0.5 * p.lam * p.C0)) * s1,
+            f2=s1 * ((kappa - 1.0) * a1 + p.lam * (a0 * c1 + 0.5 * p.C0 * a1)) - cross,
+            f3=p.lam * s1 * a1 * c1,
+        )
 
     def edge_factors(self, x2):
         """cos(pi x2) and rl*(0.5 + 0.25 sin(pi x2)) at the left-edge nodes x2."""
         return np.cos(np.pi * x2), self.p.rl * (0.5 + 0.25 * np.sin(np.pi * x2))
 
     def s_exact(self, nodes, t):
-        cos1, cos2, _ = nodes
-        return math.exp(-t) * cos1 * cos2
+        return math.exp(-t) * nodes.s1
 
     def c_field(self, nodes, t):
-        return self.p.C0 * (0.5 + 0.25 * nodes[0] * math.exp(-t))
+        c = math.exp(-t) * nodes.c1
+        c += 0.5 * self.p.C0
+        return c
 
     def r_field(self, edge, t):
         return edge[1] * (1.0 - math.exp(-t))
 
     def source(self, nodes, t):
-        """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact."""
-        p = self.p
-        cos1, cos2, sin1_sq = nodes
-        s = self.s_exact(nodes, t)
-        c = self.c_field(nodes, t)
-        phi = p.A + p.B * c
-        c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
-        # dt(phi s) = B*c_t*s + phi*(-s);  lap(s) = -2 pi^2 s
-        # grad(phi).grad(s) = 0.25*B*C0*pi^2*exp(-2t)*sin^2(pi x1)*cos(pi x2)
-        cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
-        return p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
+        """Forcing f = dt(phi*s) - div(phi*grad s) + lam*phi*c*s for s_exact.
+
+        In closed form, with phi = A + B c*, dt(phi s*) = B dt(c*) s* - phi s*,
+        lap(s*) = -2 pi^2 s* and
+        grad(phi).grad(s*) = 0.25 B C0 pi^2 E^2 sin^2(pi x1) cos(pi x2), so
+
+            f = B dt(c*) s* + (2 pi^2 - 1) phi s* - grad(phi).grad(s*)
+                + lam phi c* s*.
+
+        Each term is E, E^2 or E^3 times a fixed per-node factor, so f is
+        evaluated as E (f1 + E (f2 + E f3)) from node_factors' coefficients
+        (Horner's rule): five array passes, one of them allocating f.
+        """
+        e = math.exp(-t)
+        f = e * nodes.f3
+        f += nodes.f2
+        f *= e
+        f += nodes.f1
+        f *= e
+        return f
 
     def boundary_flux(self, edge, r, t):
         """Flux g on the left edge under which s_exact satisfies the exchange law.
@@ -245,12 +306,14 @@ def _mms_solution(
 ) -> np.ndarray:
     """Integrate the forced s-equation on an n x n grid; return s at t_end.
 
-    c and r are prescribed: the fields' spatial factors are computed once,
-    and each step's r* both sets nu(r*) in the assembly and is passed to
-    boundary_flux.  Each step's CG stops at STEP_CG_TOL, as in
-    step(), and starts from the polynomial extrapolation of the last
-    HISTORY_DEPTH solutions, or of all of them before as many exist (see
-    bulk.history_start): step 1 from s^0, step 2 from 2*s^1 - s^0, and so on.
+    c and r are prescribed.  The fields' per-point factors are computed
+    once: node_factors' coefficients in E = exp(-t), from which each step
+    evaluates c* and the forcing at its E, and edge_factors.  Each step's
+    r* both sets nu(r*) in the assembly and is passed to boundary_flux.
+    Each step's CG stops at STEP_CG_TOL, as in step(), and starts from the
+    polynomial extrapolation of the last HISTORY_DEPTH solutions, or of
+    all of them before as many exist (see bulk.history_start): step 1 from
+    s^0, step 2 from 2*s^1 - s^0, and so on.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0 (dt={dt})")

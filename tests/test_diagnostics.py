@@ -147,6 +147,29 @@ class TestManufacturedSource:
             expected = ddt - div + reaction
             assert mf.source(mf.node_factors(x1, x2), t) == pytest.approx(expected, abs=2e-5)
 
+    @pytest.mark.parametrize("p", [PhysParams(), PhysParams(lam=1e4)], ids=["default", "stiff"])
+    def test_coefficient_form_matches_the_closed_forms(self, p):
+        # s_exact, c_field and source evaluate polynomials in exp(-t) whose
+        # coefficients node_factors computes; the closed forms they expand
+        # are written out here
+        mf = ManufacturedFields(p)
+        rng = np.random.default_rng(8)
+        x1, x2 = rng.uniform(0, 1, (2, 500))
+        cos1, cos2 = np.cos(np.pi * x1), np.cos(np.pi * x2)
+        sin1_sq = np.sin(np.pi * x1) ** 2
+        nodes = mf.node_factors(x1, x2)
+        for t in rng.uniform(0, 0.2, 20):
+            s = math.exp(-t) * cos1 * cos2
+            c = p.C0 * (0.5 + 0.25 * cos1 * math.exp(-t))
+            phi = p.A + p.B * c
+            c_t = -0.25 * p.C0 * cos1 * math.exp(-t)
+            cross = 0.25 * p.B * p.C0 * np.pi**2 * math.exp(-2.0 * t) * sin1_sq * cos2
+            f = p.B * c_t * s - phi * s + 2.0 * np.pi**2 * phi * s - cross + p.lam * phi * c * s
+            for got, want in [
+                (mf.s_exact(nodes, t), s), (mf.c_field(nodes, t), c), (mf.source(nodes, t), f)
+            ]:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_manufactured_solution_satisfies_robin_law(self):
         p = PhysParams()
         mf = ManufacturedFields(p)
@@ -170,8 +193,7 @@ class ConstantFields(ManufacturedFields):
     K = 0.37
 
     def s_exact(self, nodes, t):
-        cos1, cos2, _ = nodes
-        return self.K * np.ones_like(cos1 + cos2)
+        return self.K * np.ones_like(nodes.s1)
 
     def c_field(self, nodes, t):
         return 0.5 * self.p.C0 * np.ones_like(nodes[0])

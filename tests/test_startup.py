@@ -32,6 +32,18 @@ from scipy.sparse import _compressed
 assert _compressed._sparsetools is kernel
 """
 
+# The kernel module is in sys.modules before scipy.sparse is imported, and
+# an import that finds a submodule there binds no attribute to its package.
+MATRIX_THEN_ATTRIBUTE = """
+import sys
+import numpy as np
+from sulphsim.bulk import LinearSystem
+
+LinearSystem(np.array([0, 1]), np.array([0]), np.array([2.0]), np.array([1.0])).matrix()
+import scipy.sparse
+assert scipy.sparse._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+"""
+
 # Mean minor page faults per step over 20 steps of a 129^2 Weibull run,
 # after 20 steps that fill the state's history.
 FAULTS_129 = """
@@ -67,6 +79,10 @@ def test_a_run_never_imports_scipy_sparse(tmp_path):
     loaded = run_fresh(RUN_17, str(tmp_path / "run")).split()
     assert "scipy.sparse._sparsetools" in loaded
     assert "scipy.sparse" not in loaded
+
+
+def test_matrix_binds_the_kernel_module_as_a_scipy_sparse_attribute():
+    run_fresh(MATRIX_THEN_ATTRIBUTE)
 
 
 def test_missing_kernel_file_names_the_path_searched(tmp_path):
