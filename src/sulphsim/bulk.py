@@ -811,7 +811,8 @@ def step(
         resids.append(resid)
         if _first_non_finite((("s", s_new),), pat):
             raise ValueError("non-finite s after implicit solve")
-        s_frozen = np.maximum(s_new, 0.0)
+        if k + 1 < picard_iters:
+            s_frozen = np.maximum(s_new, 0.0)
 
     v = pat.volumes
     accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)

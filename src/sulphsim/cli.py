@@ -94,7 +94,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.levels < 3:
                 raise ConfigError(f"--levels must be >= 3 (got {args.levels})")
             # the study reads only the physical parameters, so only they are validated
-            table = mms_convergence(args.study, args.levels, parse_phys(_read(args.config)))
+            phys = parse_phys(_read(args.config))
+            try:
+                table = mms_convergence(args.study, args.levels, phys)
+            except ConfigError:
+                raise
+            except Exception as exc:  # a solve failed, as run reports it
+                print(f"mms failed: {exc}", file=sys.stderr)
+                return 1
             print(table)
             out_dir = args.out or "."
             ensure_dir(out_dir)

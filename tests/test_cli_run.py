@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sulphsim import diagnostics
-from sulphsim.bulk import step
+from sulphsim.bulk import CgBreakdown, step
 from sulphsim.cli import main
 from sulphsim.config import ConfigError, parse_config
 from sulphsim.model import PhysParams
@@ -378,6 +378,20 @@ class TestCli:
         argv = ["mms", "--study", "spatial", "--config", str(tmp_path / "c.ini")]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mms_solve_failure_exits_1_without_a_traceback(self, tmp_path, monkeypatch, capsys):
+        # a config holding only lam = 1e308 passes every assumption check and
+        # breaks CG down; the failure is reported like run's, and no table written
+        def breakdown(*args, **kwargs):
+            raise CgBreakdown("p.Ap = 0.000e+00 at iteration 0")
+
+        monkeypatch.setattr(diagnostics, "_mms_solution", breakdown)
+        argv = ["mms", "--study", "spatial", "--levels", "3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "mms failed: p.Ap = 0.000e+00 at iteration 0\n"
+        assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "o").exists()
 
     def test_mms_config_keeps_its_global_bound_switch(self, tmp_path, monkeypatch):

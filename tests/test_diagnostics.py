@@ -262,11 +262,32 @@ class TestMmsMachinery:
             history.append(solution)
 
     def test_extrapolated_error_matches_a_small_dt_run(self):
-        # The spatial study's 17^2 level extrapolates dt = 1e-3 and 5e-4 in
-        # time; 10^4 steps of dt = 1e-5 leave a time error of about 0.1%.
+        # The spatial study's 17^2 level extrapolates dt = 5e-3, 2.5e-3 and
+        # 1.25e-3 in time; 10^4 steps of dt = 1e-5 leave a time error of
+        # about 0.1%.
         extrapolated = mms_convergence("spatial", 3).rows[0].err_l2
         small_dt = run_mms_level(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
         assert extrapolated == pytest.approx(small_dt, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_extrapolation_is_no_farther_from_a_fine_reference_than_the_old_pair(self, n):
+        # Against the same extrapolation from dt = 6.25e-4, the study's field
+        # from 20 + 40 + 80 steps is closer in the max norm than the
+        # first-order pair 2*s(5e-4) - s(1e-3) from 100 + 200 steps (about
+        # 6x at 17^2 and 2.4x at 33^2).
+        mf = ManufacturedFields(PhysParams())
+        t_end = diagnostics.MMS_T_END
+
+        def extrapolated(dt):
+            return diagnostics._extrapolate_in_time(
+                *diagnostics._mms_job((mf, n, (dt, dt / 2, dt / 4)))
+            )
+
+        reference = extrapolated(6.25e-4)
+        study = extrapolated(diagnostics.SPATIAL_DT)
+        pair = 2.0 * diagnostics._mms_solution(mf, n, 5e-4, t_end)
+        pair -= diagnostics._mms_solution(mf, n, 1e-3, t_end)
+        assert np.abs(study - reference).max() <= np.abs(pair - reference).max()
 
     def test_bad_boundary_flux_is_rejected(self):
         class ShortFlux(ManufacturedFields):
@@ -424,7 +445,8 @@ def off_by(mf, n, t_end, value):
     """An s on the n x n grid whose error at t_end is value, a scalar or one per node.
 
     Exact to rounding, and so is the error of the spatial study's
-    extrapolation 2*s(dt/2) - s(dt) when both solutions are off by value.
+    extrapolation (8*s(dt/4) - 6*s(dt/2) + s(dt))/3 when all three
+    solutions are off by value.
     """
     grid = Grid2D(n, n)
     return mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), t_end) + value
@@ -432,7 +454,7 @@ def off_by(mf, n, t_end, value):
 
 class TestMmsLevelsInWorkers:
     def test_table_byte_identical_for_one_and_two_workers(self, monkeypatch):
-        # forked workers inherit the patched end time: 10 and 20 steps per level
+        # forked workers inherit the patched end time: 10, 20 and 40 steps per level
         monkeypatch.setattr(diagnostics, "MMS_T_END", 10 * diagnostics.SPATIAL_DT)
         csv = {}
         for workers in ("1", "2"):
@@ -452,7 +474,7 @@ class TestMmsLevelsInWorkers:
         rows = mms_convergence("spatial", 4).rows
         assert [r.err_max for r in rows] == pytest.approx([17.0, 33.0, 65.0, 129.0], rel=1e-12)
         pids = {int(f.read_text()) for f in tmp_path.iterdir()}
-        assert len(list(tmp_path.iterdir())) == 8
+        assert len(list(tmp_path.iterdir())) == 12
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2
 
@@ -468,7 +490,9 @@ class TestMmsLevelsInWorkers:
         mms_convergence("temporal", 3)
         dt, n = diagnostics.SPATIAL_DT, diagnostics.TEMPORAL_GRID
         assert started == [
-            (65, dt), (65, dt / 2), (33, dt), (33, dt / 2), (17, dt), (17, dt / 2),
+            (65, dt), (65, dt / 2), (65, dt / 4),
+            (33, dt), (33, dt / 2), (33, dt / 4),
+            (17, dt), (17, dt / 2), (17, dt / 4),
             (n, 0.05), (n, 0.025), (n, 0.0125), (n, 0.00625),
         ]
 

@@ -31,7 +31,10 @@ from sulphsim.config import parse_config
 from sulphsim.runner import run
 
 DATA = Path(__file__).parent / "data"
-MMS_T_END = 0.005  # 5 steps per level at the spatial study's dt, 10 at dt/2
+# 4 steps per level at the spatial study's dt, 8 at dt/2 and 16 at dt/4, so
+# each level's finest solution runs past HISTORY_DEPTH steps
+MMS_T_END = 0.02
+MMS_PIN = DATA / "mms_spatial_t002.csv"
 WEIBULL_CONFIG = (
     "nx = 33\nny = 33\ndt = 0.01\nn_steps = 60\nnu_law = parabolic\n"
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 7\nemit_vtk = false\n"
@@ -90,7 +93,7 @@ def artifact_digests(out_dir: Path) -> dict[str, str]:
 def test_mms_spatial_table_matches_pinned_bytes(monkeypatch):
     monkeypatch.setenv("SULPHSIM_THREADS", "1")
     monkeypatch.setattr(diagnostics, "MMS_T_END", MMS_T_END)
-    assert mms_spatial_csv() == (DATA / "mms_spatial_t0005.csv").read_text()
+    assert mms_spatial_csv() == MMS_PIN.read_text()
 
 
 def check_weibull_set(set_name, name, tmp_path_factory):
@@ -119,7 +122,7 @@ def test_run_artifacts_match_pinned_digests(run_name, tmp_path):
 
 def regenerate_mms() -> None:
     diagnostics.MMS_T_END = MMS_T_END
-    (DATA / "mms_spatial_t0005.csv").write_text(mms_spatial_csv())
+    MMS_PIN.write_text(mms_spatial_csv())
 
 
 def regenerate_weibull(set_name: str) -> None:
