@@ -113,10 +113,9 @@ class FieldState:
     """Bulk fields s, c (length nx*ny) plus boundary fields r, xi at one time.
 
     history holds the s of up to HISTORY_DEPTH - 1 earlier steps, newest
-    first, one record per step: (s at that step's start, sweep 1's s, ...,
-    sweep K's s).  step() reads it and passes it on; it holds arrays only,
-    so a state keeps no earlier state alive.  A state without it, such as
-    an initial one, starts the history afresh.
+    first: s^(n-1), s^(n-2), ...  step() reads it and passes it on; it holds
+    arrays only, so a state keeps no earlier state alive.  A state without
+    it, such as an initial one, starts the history afresh.
     """
 
     t: float
@@ -124,7 +123,7 @@ class FieldState:
     c: np.ndarray
     r: np.ndarray
     xi: np.ndarray
-    history: tuple[tuple[np.ndarray, ...], ...] = ()
+    history: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -383,8 +382,8 @@ def assemble_s_system(
 def _old_state_terms(pat: _Pattern, state_old: FieldState, dt: float, p: PhysParams):
     """phi(c^n) and V*phi(c^n)*s^n/dt, the part of the s-system the old state fixes.
 
-    step() computes them once for all its Picard sweeps.  The right-hand
-    side is built in place, in the operation order of its formula.
+    step() and assemble_s_system() share it.  The right-hand side is built
+    in place, in the operation order of its formula.
     """
     phi_old = np.asarray(porosity(state_old.c, p))
     rhs = np.multiply(phi_old, state_old.s)
@@ -683,17 +682,17 @@ class BalanceTerms:
 
     The first three entries are the summands of the discrete balance
     identity obtained by summing the volume-scaled scheme over all nodes;
-    s_trace is the frozen s that the final rugosity update read on the
-    exposed trace (the c it read is the new c there).  cg_iterations and
-    cg_residual hold one entry per Picard sweep.
+    s_trace is the frozen s that the rugosity update read on the exposed
+    trace (the c it read is the new c there).  cg_iterations and
+    cg_residual are the s-solve's CG iterations and final true residual.
     """
 
     accumulation: float
     reaction: float
     boundary_exchange: float
     s_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cg_iterations: tuple[int, ...] = ()
-    cg_residual: tuple[float, ...] = ()
+    cg_iterations: int = 0
+    cg_residual: float = 0.0
 
 
 def history_start(values) -> np.ndarray:
@@ -732,87 +731,53 @@ def step(
     dt: float,
     grid: Grid2D,
     p: PhysParams,
-    picard_iters: int = 1,
 ) -> tuple[FieldState, BalanceTerms]:
     """Advance the coupled state by one time step.
 
-    Per Picard sweep: (1) c from the exact kinetics with s frozen, (2) r by
-    the explicit surface update using traces of the new c and the frozen s,
-    (3) s from the implicit solve with coefficients phi(c_new), nu(r_new).
-    Further sweeps re-freeze s at the latest iterate and redo (1)-(3) from
-    the time-level-n state, approximating the fully implicit coupling.  The
-    parts of the system that only the time-level-n state fixes are
-    computed once.
+    (1) c from the exact kinetics with s frozen, (2) r by the explicit
+    surface update using traces of the new c and the frozen s, (3) s from
+    the implicit solve with coefficients phi(c_new), nu(r_new).
 
-    Sweep 1 freezes max(s^n, 0), except in a single-sweep step whose
-    state.history holds an earlier step: that one sweep freezes the linear
-    extrapolation max(2*s^n - s^(n-1), 0), the extrapolated explicit
-    coupling of IMEX schemes (Ascher, Ruuth & Wetton 1995), which brings
-    one sweep near the accuracy of two plain ones.  Either frozen s is
-    clipped at 0 and feeds only the kinetics and the rugosity update, so
-    the solve is the same M-matrix solve.
+    The frozen s is max(2*s^n - s^(n-1), 0), the extrapolated explicit
+    coupling of IMEX schemes (Ascher, Ruuth & Wetton 1995), when
+    state.history holds s^(n-1), and max(s^n, 0) when it is empty.  It
+    feeds only the kinetics and the rugosity update, so the solve is the
+    same M-matrix solve either way.
 
-    The history otherwise only chooses where each sweep's CG starts (see
-    history_start); only its first HISTORY_DEPTH - 1 records are read.
-    Sweep 1 starts from the extrapolation of s^n and the earlier steps'
-    inputs s^(n-1), s^(n-2), ...  Sweep k >= 2 starts from the new sweep
-    k-1 solution s_(k-1)^(n+1) plus the sweep-k correction d_k = s_k -
-    s_(k-1) extrapolated from the earlier steps that made a sweep k.
-    Without history, sweep 1 starts from s^n and sweep k from
-    s_(k-1)^(n+1).  Either way each solve stops at the same tolerance, so
-    the start moves the result only within it.  The new state's history
-    is this step's record followed by the newest HISTORY_DEPTH - 2 it read.
+    The history otherwise only chooses where CG starts: the extrapolation
+    of s^n and up to HISTORY_DEPTH - 1 earlier values (see history_start).
+    The solve stops at the same tolerance from any start, so the start
+    moves the result only within it.  The new state's history is s^n
+    followed by the newest HISTORY_DEPTH - 2 values it read.
     """
-    if picard_iters < 1:
-        raise ValueError("picard_iters must be >= 1")
     if dt <= 0:
         raise ValueError(f"dt must be > 0 (dt={dt})")
     pat = _pattern(grid)
     trace = pat.trace
     history = state.history[: HISTORY_DEPTH - 1]
     nodal = (("s_old", state.s), ("c_old", state.c))
-    records = tuple(
-        (f"history[{i}][{j}]", v) for i, h in enumerate(history) for j, v in enumerate(h)
-    )
-    _check_shapes(pat, nodal + records, (("r_old", state.r),))
+    named_history = tuple((f"history[{i}]", v) for i, v in enumerate(history))
+    _check_shapes(pat, nodal + named_history, (("r_old", state.r),))
     bad = _first_non_finite(nodal, pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
-    phi_old, rhs_old = _old_state_terms(pat, state, dt, p)
+    phi_old, rhs = _old_state_terms(pat, state, dt, p)
+    s_hist = (state.s,) + history  # newest first
 
     # Frozen s must be nonnegative for the kinetics; the solve itself can
     # leave -1e-12-scale noise which would otherwise flip the decay sign.
-    s_frozen = state.s
-    if picard_iters == 1 and history:
-        s_frozen = history_start((state.s, history[0][0]))
-    s_frozen = np.maximum(s_frozen, 0.0)
-    r_new, xi = state.r, np.zeros_like(state.r)
-    s_new = state.s
-    sweeps, iters, resids = [], [], []
-    s_tr = np.zeros(0)
-
-    for k in range(picard_iters):
-        c_new = c_update_exact(state.c, s_frozen, dt, p)
-        if _first_non_finite((("c_new", c_new),), pat):
-            raise ValueError("non-finite values in c_new")
-        if trace is not None:
-            s_tr = s_frozen[trace.indices]
-            r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
-        sys, phi_new = _assemble(pat, rhs_old.copy(), c_new, r_new, dt, p)
-        x0 = s_new
-        if history and k == 0:
-            x0 = history_start((state.s,) + tuple(h[0] for h in history))
-        elif history and k + 1 < len(history[0]):
-            x0 = history_start([h[k + 1] - h[k] for h in history if k + 1 < len(h)])
-            x0 += s_new
-        s_new, n_iter, resid = cg_solve(sys, x0=x0, rel_tol=STEP_CG_TOL)
-        sweeps.append(s_new)
-        iters.append(n_iter)
-        resids.append(resid)
-        if _first_non_finite((("s", s_new),), pat):
-            raise ValueError("non-finite s after implicit solve")
-        if k + 1 < picard_iters:
-            s_frozen = np.maximum(s_new, 0.0)
+    s_frozen = np.maximum(history_start(s_hist[:2]), 0.0)
+    c_new = c_update_exact(state.c, s_frozen, dt, p)
+    if _first_non_finite((("c_new", c_new),), pat):
+        raise ValueError("non-finite values in c_new")
+    r_new, xi, s_tr = state.r, np.zeros_like(state.r), np.zeros(0)
+    if trace is not None:
+        s_tr = s_frozen[trace.indices]
+        r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
+    sys, phi_new = _assemble(pat, rhs, c_new, r_new, dt, p)
+    s_new, n_iter, resid = cg_solve(sys, x0=history_start(s_hist), rel_tol=STEP_CG_TOL)
+    if _first_non_finite((("s", s_new),), pat):
+        raise ValueError("non-finite s after implicit solve")
 
     v = pat.volumes
     accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)
@@ -823,14 +788,13 @@ def step(
     else:
         boundary = 0.0
 
-    history = ((state.s, *sweeps),) + history[: HISTORY_DEPTH - 2]
-    new_state = FieldState(state.t + dt, s_new, c_new, r_new, xi, history)
+    new_state = FieldState(state.t + dt, s_new, c_new, r_new, xi, s_hist[: HISTORY_DEPTH - 1])
     terms = BalanceTerms(
         accumulation=accumulation,
         reaction=reaction,
         boundary_exchange=boundary,
         s_trace=s_tr,
-        cg_iterations=tuple(iters),
-        cg_residual=tuple(resids),
+        cg_iterations=n_iter,
+        cg_residual=resid,
     )
     return new_state, terms

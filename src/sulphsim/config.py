@@ -44,6 +44,7 @@ class RunConfig(PhysParams):
     # time stepping
     dt: float = 1.0 / 5000.0
     n_steps: int = 100
+    # every step makes one sweep; the key stays so that manifests naming it parse
     picard_iters: int = 1
     # deterministic RNG / initial rugosity
     seed: int = 1
@@ -247,8 +248,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
         problems.append(f"dt must be > 0 (got {cfg.dt})")
     if cfg.n_steps < 1:
         problems.append(f"n_steps must be >= 1 (got {cfg.n_steps})")
-    if cfg.picard_iters < 1:
-        problems.append(f"picard_iters must be >= 1 (got {cfg.picard_iters})")
+    if cfg.picard_iters != 1:
+        problems.append(
+            f"picard_iters must be 1: the multi-sweep Picard scheme was removed "
+            f"(got {cfg.picard_iters})"
+        )
     # the manifest must re-parse to this config, and parsing strips a value
     if not _UNWRITABLE.isdisjoint(cfg.out_dir) or cfg.out_dir != cfg.out_dir.strip():
         problems.append(

@@ -34,8 +34,8 @@ class RunMetrics:
     """Per-run results beyond the artifacts: the threshold step and CG totals.
 
     cg_solves, cg_iterations_total and cg_iterations_max count the s-solves
-    of the steps taken, their summed iterations and the most in one solve;
-    run() writes them to manifest.ini as solver.* comments.
+    of the steps taken (one per step), their summed iterations and the most
+    in one solve; run() writes them to manifest.ini as solver.* comments.
     """
 
     first_step_half_c0: int | None = None
@@ -136,10 +136,10 @@ def run(cfg: RunConfig) -> RunResult:
     error = None
     try:
         for k in range(1, cfg.n_steps + 1):
-            state, terms = step(state, cfg.dt, grid, p, picard_iters=cfg.picard_iters)
-            metrics.cg_solves += len(terms.cg_iterations)
-            metrics.cg_iterations_total += sum(terms.cg_iterations)
-            metrics.cg_iterations_max = max(metrics.cg_iterations_max, *terms.cg_iterations)
+            state, terms = step(state, cfg.dt, grid, p)
+            metrics.cg_solves += 1
+            metrics.cg_iterations_total += terms.cg_iterations
+            metrics.cg_iterations_max = max(metrics.cg_iterations_max, terms.cg_iterations)
             entry = audit_step(state, p, terms, grid, step_index=k)
             report.append(entry)
             if trace is not None:

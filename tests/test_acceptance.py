@@ -50,7 +50,7 @@ def reference_run():
     t0 = time.monotonic()
     for _ in range(500):
         prev_c = st.c
-        st, terms = step(st, 1.0 / 5000.0, grid, p, picard_iters=2)
+        st, terms = step(st, 1.0 / 5000.0, grid, p)
         stats["s_min"] = min(stats["s_min"], float(st.s.min()))
         stats["s_max"] = max(stats["s_max"], float(st.s.max()))
         if np.any(st.c > prev_c) or np.any(st.c < 0.0):
@@ -199,7 +199,7 @@ def edge_history(cfg):
     state = initial_state(cfg)
     hist = []
     for k in range(1, cfg.n_steps + 1):
-        new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)
+        new, terms = step(state, cfg.dt, grid, p)
         hist.append(
             SimpleNamespace(
                 step=k,

@@ -90,13 +90,13 @@ class TestRun:
             return out
 
         monkeypatch.setattr(bulk, "cg_solve", counting)
-        res = run(small_config(tmp_path / "m", picard_iters=2))
+        res = run(small_config(tmp_path / "m"))
         assert res.status == 0
         m = res.metrics
         assert (m.cg_solves, m.cg_iterations_total, m.cg_iterations_max) == (
             len(counts), sum(counts), max(counts)
         )
-        assert len(counts) == 40
+        assert m.cg_solves == res.config.n_steps == 20
         lines = (tmp_path / "m" / "manifest.ini").read_text().splitlines()
         assert [line for line in lines if line.startswith("# solver.")] == [
             f"# solver.cg_solves = {len(counts)}",
@@ -164,7 +164,7 @@ class TestRun:
         grid, p = cfg.grid(), cfg.phys()
         state = initial_state(cfg)
         for _ in range(cfg.n_steps):
-            new, terms = step(state, cfg.dt, grid, p, cfg.picard_iters)
+            new, terms = step(state, cfg.dt, grid, p)
             assert len(terms.s_trace) == len(new.r) == cfg.ny
             assert np.all(new.r >= state.r)
             state = new

@@ -1,9 +1,11 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
+from sulphsim.cli import main
 from sulphsim.config import (
     ConfigError,
     RunConfig,
@@ -21,6 +23,7 @@ ENUM_VARIANT = (
     "nu_law = parabolic\nconstraint_mode = box\nr_init_mode = weibull\n"
     "exposed_edge = top\nR0 = 0.25\nseed = 42\n"
 )
+REMOVED_PICARD = "picard_iters must be 1: the multi-sweep Picard scheme was removed"
 
 
 def read_data(name):
@@ -131,6 +134,28 @@ class TestValidation:
             "invalid configuration:\n  out_dir must hold no '#' or line break and no "
             f"surrounding whitespace, which manifest.ini cannot carry (got {bad!r})"
         )
+
+    @pytest.mark.parametrize("value", ["0", "2", "3"])
+    def test_multi_sweep_picard_rejected_by_name(self, value):
+        # the key stays so that manifests naming picard_iters = 1 parse
+        message = re.escape(REMOVED_PICARD + f" (got {value})")
+        for text, overrides in ((f"picard_iters = {value}\n", None), ("", {"picard_iters": value})):
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text, overrides)
+
+    def test_multi_sweep_picard_rejected_on_the_command_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["run", "--set", "nx=17", "--set", "ny=17", "--set", "picard_iters=2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert REMOVED_PICARD + " (got 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_sweep_manifests_still_parse(self):
+        assert parse_config("picard_iters = 1\n") == RunConfig()
+        for name in ("manifest_default.ini", "manifest_variant.ini"):
+            text = read_data(name)
+            assert "picard_iters = 1\n" in text
+            assert parse_config(text).picard_iters == 1
 
     def test_every_violation_listed(self):
         try:

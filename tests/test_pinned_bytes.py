@@ -5,16 +5,16 @@ current code with recorded outputs, so a change that claims to keep the
 floating-point arithmetic of the s-solve is checked across versions.  A
 change that means to alter the arithmetic regenerates the files with
 
-    PYTHONPATH=src python tests/test_pinned_bytes.py [mms|weibull|weibullp1|digests]
+    PYTHONPATH=src python tests/test_pinned_bytes.py [mms|weibullp1|digests]
 
 (the named sets alone, or all of them when no set is named) and says why
-in its description.  The weibull set runs two plain Picard sweeps per step
-and the weibullp1 set the default single predicted sweep, so each scheme
-is pinned on its own.  The digests set pins every artifact of the runs in
-DIGEST_RUNS, VTK snapshots included, as sha256 digests; the manifest is
-hashed without its out_dir line.  Every one of these runs is at most 65^2:
-from 129^2 up the preconditioner's GEMMs are threaded by the BLAS, and the
-bytes depend on its thread count.
+in its description.  The weibullp1 set pins the profiles and invariants
+of a 33^2 Weibull run, one predicted sweep per step.  The digests set
+pins every artifact of the runs in DIGEST_RUNS, VTK snapshots included,
+as sha256 digests; the manifest is hashed without its out_dir line.
+Every one of these runs is at most 65^2: from 129^2 up the
+preconditioner's GEMMs are threaded by the BLAS, and the bytes depend on
+its thread count.
 """
 
 import hashlib
@@ -38,13 +38,9 @@ MMS_PIN = DATA / "mms_spatial_t002.csv"
 WEIBULL_CONFIG = (
     "nx = 33\nny = 33\ndt = 0.01\nn_steps = 60\nnu_law = parabolic\n"
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 7\nemit_vtk = false\n"
-    "picard_iters = 2\n"
 )
-# set name -> (prefix of its files in DATA, config text)
-WEIBULL_SETS = {
-    "weibull": ("weibull33", WEIBULL_CONFIG),
-    "weibullp1": ("weibull33p1", WEIBULL_CONFIG.replace("picard_iters = 2", "picard_iters = 1")),
-}
+# prefix of the weibullp1 set's files in DATA
+WEIBULL_PREFIX = "weibull33p1"
 WEIBULL_FILES = ("profiles.csv", "invariants.csv")
 # run name -> config text; each run's artifacts are pinned in DIGESTS
 DIGEST_RUNS = {
@@ -58,11 +54,6 @@ DIGEST_RUNS = {
     "box_top": (
         "nx = 17\nny = 33\nexposed_edge = top\nconstraint_mode = box\nR0 = 0.25\n"
         "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 5\ndt = 0.01\nn_steps = 100\n"
-    ),
-    "weibull33p2": WEIBULL_CONFIG.replace("emit_vtk = false\n", ""),
-    "linear33p3": (
-        "nx = 33\nny = 33\ndt = 0.01\nn_steps = 60\nnu_law = linear\n"
-        "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 11\npicard_iters = 3\n"
     ),
 }
 DIGESTS = DATA / "run_digests.json"
@@ -96,22 +87,12 @@ def test_mms_spatial_table_matches_pinned_bytes(monkeypatch):
     assert mms_spatial_csv() == MMS_PIN.read_text()
 
 
-def check_weibull_set(set_name, name, tmp_path_factory):
-    prefix, text = WEIBULL_SETS[set_name]
-    out = tmp_path_factory.getbasetemp() / f"pinned_{set_name}"
-    if not out.exists():  # one run serves every file of its set
-        run_text(text, out)
-    assert (out / name).read_bytes() == (DATA / f"{prefix}_{name}").read_bytes()
-
-
-@pytest.mark.parametrize("name", WEIBULL_FILES)
-def test_weibull_run_matches_pinned_bytes(name, tmp_path_factory):
-    check_weibull_set("weibull", name, tmp_path_factory)
-
-
 @pytest.mark.parametrize("name", WEIBULL_FILES)
 def test_weibull_predicted_sweep_run_matches_pinned_bytes(name, tmp_path_factory):
-    check_weibull_set("weibullp1", name, tmp_path_factory)
+    out = tmp_path_factory.getbasetemp() / "pinned_weibullp1"
+    if not out.exists():  # one run serves every file of the set
+        run_text(WEIBULL_CONFIG, out)
+    assert (out / name).read_bytes() == (DATA / f"{WEIBULL_PREFIX}_{name}").read_bytes()
 
 
 @pytest.mark.parametrize("run_name", list(DIGEST_RUNS))
@@ -125,12 +106,11 @@ def regenerate_mms() -> None:
     MMS_PIN.write_text(mms_spatial_csv())
 
 
-def regenerate_weibull(set_name: str) -> None:
-    prefix, text = WEIBULL_SETS[set_name]
+def regenerate_weibull() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        run_text(text, Path(tmp))
+        run_text(WEIBULL_CONFIG, Path(tmp))
         for name in WEIBULL_FILES:
-            (DATA / f"{prefix}_{name}").write_bytes((Path(tmp) / name).read_bytes())
+            (DATA / f"{WEIBULL_PREFIX}_{name}").write_bytes((Path(tmp) / name).read_bytes())
 
 
 def regenerate_digests() -> None:
@@ -143,7 +123,7 @@ def regenerate_digests() -> None:
 
 
 if __name__ == "__main__":
-    sets = ["mms", *WEIBULL_SETS, "digests"]
+    sets = ["mms", "weibullp1", "digests"]
     names = sys.argv[1:] or sets
     unknown = [n for n in names if n not in sets]
     if unknown:
@@ -156,4 +136,4 @@ if __name__ == "__main__":
         elif name == "digests":
             regenerate_digests()
         else:
-            regenerate_weibull(name)
+            regenerate_weibull()

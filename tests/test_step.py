@@ -71,10 +71,14 @@ class TestUniformDecay:
 
 @pytest.fixture(scope="module")
 def stepped():
-    """One step of the reference configuration at dt = 1/5000 on 65x65."""
+    """Two steps of the reference configuration at dt = 1/5000 on 65x65.
+
+    The second step is the first to freeze the extrapolation of s.
+    """
     p = PhysParams()
     grid = build_grid(65, 65)
-    st, terms = step(initial_state(grid, p), 1.0 / 5000.0, grid, p, picard_iters=2)
+    st, _ = step(initial_state(grid, p), 1.0 / 5000.0, grid, p)
+    st, terms = step(st, 1.0 / 5000.0, grid, p)
     return grid, p, st, terms
 
 
@@ -87,22 +91,13 @@ class TestReferenceStep:
         assert abs(st.s[grid.index(64, 32)]) < 1e-12  # far side still at rest
 
     def test_golden_values(self, stepped):
-        # frozen from a picard_iters=20 run of this configuration, which
-        # agrees with two sweeps to ~5e-11; tolerances reflect that
+        # the scheme's own values, pinned: a change to a step's arithmetic
+        # beyond the CG tolerance moves them
         grid, p, st, _ = stepped
-        assert st.s[grid.index(0, 32)] == pytest.approx(0.090430073087617302, abs=1e-9)
-        assert st.s[grid.index(1, 32)] == pytest.approx(0.029394854602089723, abs=1e-9)
-        assert st.c[grid.index(0, 32)] == pytest.approx(0.99990957034663797, abs=1e-9)
-        assert st.r[32] == pytest.approx(0.40003488000896381, abs=1e-9)
-
-    def test_default_picard_close_to_converged_coupling(self, stepped):
-        grid, p, st, _ = stepped
-        st20, _ = step(
-            initial_state(grid, p), 1.0 / 5000.0, grid, p, picard_iters=20
-        )
-        assert np.abs(st.s - st20.s).max() < 1e-8
-        assert np.abs(st.c - st20.c).max() < 1e-8
-        assert np.abs(st.r - st20.r).max() < 1e-8
+        assert st.s[grid.index(0, 32)] == pytest.approx(0.1366027439347023, abs=1e-9)
+        assert st.s[grid.index(1, 32)] == pytest.approx(0.058428220272861896, abs=1e-9)
+        assert st.c[grid.index(0, 32)] == pytest.approx(0.9998191406947549, abs=1e-9)
+        assert st.r[32] == pytest.approx(0.4000697600162162, abs=1e-9)
 
 
 class TestInvariantsOverManySteps:
@@ -164,11 +159,10 @@ class TestNoExposedEdge:
         assert new.s.max() < 0.4
 
 
-def weibull_text(n, seed, n_steps, picard_iters=1):
+def weibull_text(n, seed, n_steps):
     return (
         f"nx = {n}\nny = {n}\ndt = 0.01\nn_steps = {n_steps}\nnu_law = parabolic\n"
         f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\nemit_vtk = false\n"
-        f"picard_iters = {picard_iters}\n"
     )
 
 
@@ -178,21 +172,21 @@ def setup(text):
     return cfg, cfg.grid(), cfg.phys(), runner.initial_state(cfg)
 
 
-def weibull_setup(n, seed, n_steps, picard_iters=1):
+def weibull_setup(n, seed, n_steps):
     """Config, grid, parameters and initial state of a parabolic Weibull run."""
-    return setup(weibull_text(n, seed, n_steps, picard_iters))
+    return setup(weibull_text(n, seed, n_steps))
 
 
 def march(st, cfg, grid, p, warm):
     """cfg.n_steps steps, each with the history of the earlier ones when warm.
 
-    Returns the final state and the CG iterations summed per Picard sweep.
+    Returns the final state and the CG iterations summed over the steps.
     """
-    totals = np.zeros(cfg.picard_iters, dtype=int)
+    total = 0
     for _ in range(cfg.n_steps):
-        st, terms = step(st if warm else replace(st, history=()), cfg.dt, grid, p, cfg.picard_iters)
-        totals += terms.cg_iterations
-    return st, totals.tolist()
+        st, terms = step(st if warm else replace(st, history=()), cfg.dt, grid, p)
+        total += terms.cg_iterations
+    return st, total
 
 
 def assert_snapshot_holds(out_dir, k, state, grid):
@@ -219,16 +213,16 @@ def assert_snapshot_holds(out_dir, k, state, grid):
 
 
 class TestWarmStart:
-    """The state's history only moves where each sweep's CG starts."""
+    """What a step's history holds, and where its CG starts from it."""
 
     def test_without_history_steps_are_unchanged(self):
-        # sha256 of (s, c, r) after 20 steps without history, as computed
-        # before there was a history
+        # sha256 of (s, c, r) after 20 steps without history, each freezing
+        # max(s^n, 0) and starting CG from s^n
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20)
         for _ in range(cfg.n_steps):
-            st, _ = step(replace(st, history=()), cfg.dt, grid, p, picard_iters=2)
+            st, _ = step(replace(st, history=()), cfg.dt, grid, p)
         digest = hashlib.sha256(st.s.tobytes() + st.c.tobytes() + st.r.tobytes()).hexdigest()
-        assert digest == "4ad4d5d7a79dc778cebf9e43e262e5d194d1bbb493ff91b43af7806d46664863"
+        assert digest == "930ca96a86833561332b551a07d89743e3fccbf2f1b4acde20159ed7dc846718"
 
     def test_sweep_starts(self, monkeypatch):
         cg_solve = bulk.cg_solve
@@ -240,43 +234,33 @@ class TestWarmStart:
 
         monkeypatch.setattr(bulk, "cg_solve", recording)
         cfg, grid, p, st0 = weibull_setup(17, seed=3, n_steps=3)
-        st1, _ = step(st0, cfg.dt, grid, p, picard_iters=2)
-        st2, t2 = step(replace(st1, history=()), cfg.dt, grid, p, picard_iters=2)
-        # each record: the step's s^n, then every sweep's s (the arrays themselves)
-        (rec2,) = st2.history
-        assert rec2[0] is st1.s and rec2[-1] is st2.s
-        assert len(t2.cg_iterations) == len(t2.cg_residual) == len(rec2) - 1 == 2
-        # without history: s^n, then the previous sweep's s
-        assert np.array_equal(starts[2], st1.s)
-        assert np.array_equal(starts[3], rec2[1])
-        # with it: 2 s^n - s^(n-1), then sweep 1's s plus the last step's correction
-        st3, _ = step(st2, cfg.dt, grid, p, picard_iters=2)
-        rec3 = st3.history[0]
-        assert st3.history[1] is rec2
-        assert np.array_equal(starts[4], 2.0 * st2.s - st1.s)
-        assert np.array_equal(starts[5], rec3[1] + (rec2[2] - rec2[1]))
-        # with two earlier steps: 3 s^n - 3 s^(n-1) + s^(n-2), then sweep 1's
-        # s plus the corrections d = s_2 - s_1 extrapolated as 2 d^n - d^(n-1)
-        st4, _ = step(st3, cfg.dt, grid, p, picard_iters=2)
-        rec4 = st4.history[0]
-        assert rec3[0] is st2.s and rec4[0] is st3.s
-        d3 = rec3[2] - rec3[1]
-        d2 = rec2[2] - rec2[1]
-        assert np.array_equal(starts[6], 3.0 * st3.s - 3.0 * st2.s + st1.s)
-        assert np.array_equal(starts[7], rec4[1] + (2.0 * d3 - d2))
+        st1, _ = step(st0, cfg.dt, grid, p)
+        st2, t2 = step(replace(st1, history=()), cfg.dt, grid, p)
+        # the history holds the step's s^n, the array itself
+        assert len(st2.history) == 1 and st2.history[0] is st1.s
+        assert type(t2.cg_iterations) is int and type(t2.cg_residual) is float
+        # one solve per step; without history it starts from s^n
+        assert len(starts) == 2
+        assert np.array_equal(starts[1], st1.s)
+        # with it: 2 s^n - s^(n-1)
+        st3, _ = step(st2, cfg.dt, grid, p)
+        assert st3.history[0] is st2.s and st3.history[1] is st1.s
+        assert np.array_equal(starts[2], 2.0 * st2.s - st1.s)
+        # with two earlier steps: 3 s^n - 3 s^(n-1) + s^(n-2)
+        step(st3, cfg.dt, grid, p)
+        assert np.array_equal(starts[3], 3.0 * st3.s - 3.0 * st2.s + st1.s)
 
     def test_history_keeps_the_last_steps_as_arrays(self):
-        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20, picard_iters=2)
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=20)
         states = [st]
         for _ in range(cfg.n_steps):
-            states.append(step(states[-1], cfg.dt, grid, p, picard_iters=2)[0])
+            states.append(step(states[-1], cfg.dt, grid, p)[0])
         history = states[-1].history
         assert len(history) == bulk.HISTORY_DEPTH - 1
-        assert all(type(v) is np.ndarray for record in history for v in record)
-        # newest first: record j began at the s of the state j + 1 steps back
-        for j, record in enumerate(history):
-            assert len(record) == 3
-            assert record[0] is states[-2 - j].s and record[-1] is states[-1 - j].s
+        assert all(type(v) is np.ndarray for v in history)
+        # newest first: entry j is the s of the state j + 2 steps back
+        for j, v in enumerate(history):
+            assert v is states[-2 - j].s
 
     def test_run_matches_direct_solves(self, monkeypatch):
         cfg, grid, p, st = weibull_setup(33, seed=7, n_steps=60)
@@ -304,13 +288,14 @@ class TestWarmStart:
         assert_snapshot_holds(tmp_path, cfg.n_steps, st, grid)
 
     def test_per_sweep_iterations_fall(self):
-        # 65^2, seed 29, 40 steps: each Picard sweep's CG iterations summed
-        # over the run, cold and warm-started
-        cfg, grid, p, st = weibull_setup(65, seed=29, n_steps=40, picard_iters=2)
+        # 65^2, seed 29, 40 steps: the CG iterations summed over the run,
+        # cold and warm-started.  Cold steps also freeze s^n rather than its
+        # extrapolation, so the two runs differ in more than the starts.
+        cfg, grid, p, st = weibull_setup(65, seed=29, n_steps=40)
         _, cold = march(st, cfg, grid, p, warm=False)
         _, warm = march(st, cfg, grid, p, warm=True)
-        assert cold == [253, 204]
-        assert warm == [227, 104]
+        assert cold == 254
+        assert warm == 168
 
     def test_deep_history_keeps_the_iteration_count_down(self, tmp_path):
         # the pinned 33^2 Weibull run with its default single sweep: 201 CG
@@ -394,99 +379,44 @@ class TestShapeErrors:
     def test_message_names_the_history_record(self):
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
         st, _ = step(st, cfg.dt, grid, p)
-        st = replace(st, history=st.history + ((st.s, st.s[:-1]),))
-        message = "history[1][1] has shape (288,), expected (289,) for the 17 x 17 grid"
+        st = replace(st, history=st.history + (st.s[:-1],))
+        message = "history[1] has shape (288,), expected (289,) for the 17 x 17 grid"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             step(st, cfg.dt, grid, p)
 
 
 class TestPredictedSweep:
-    """A single-sweep step freezes the linear extrapolation of s."""
+    """A step freezes the linear extrapolation of s once a history exists."""
 
-    def frozen_inputs(self, monkeypatch, picard_iters):
-        """Per step of 6 run-like steps: the s each c_update_exact call froze,
-        the step's terms and its history record.
-
-        A record starts with the step's s^n.
-        """
+    def test_one_sweep_freezes_the_extrapolation(self, monkeypatch):
         c_update_exact = bulk.c_update_exact
         frozen = []
 
         def recording(c_n, s_frozen, dt, p):
-            frozen[-1].append(np.array(s_frozen))
+            frozen.append(np.array(s_frozen))
             return c_update_exact(c_n, s_frozen, dt, p)
 
         monkeypatch.setattr(bulk, "c_update_exact", recording)
-        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=6, picard_iters=picard_iters)
-        all_terms, records = [], []
+        cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=6)
+        idx = grid.exposed_trace().indices
+        s_n, all_terms = [], []
         for _ in range(cfg.n_steps):
-            frozen.append([])
-            st, terms = step(st, cfg.dt, grid, p, picard_iters)
+            s_n.append(st.s)
+            st, terms = step(st, cfg.dt, grid, p)
             all_terms.append(terms)
-            records.append(st.history[0])
-        return grid.exposed_trace().indices, frozen, all_terms, records
-
-    def test_one_sweep_freezes_the_extrapolation(self, monkeypatch):
-        idx, frozen, all_terms, records = self.frozen_inputs(monkeypatch, picard_iters=1)
-        s_n = [record[0] for record in records]
         want = [np.maximum(s_n[0], 0.0)]
         want += [np.maximum(2.0 * s - s_prev, 0.0) for s, s_prev in zip(s_n[1:], s_n)]
+        assert len(frozen) == cfg.n_steps
         for calls, terms, w in zip(frozen, all_terms, want):
-            assert len(calls) == len(terms.cg_iterations) == 1
-            assert np.array_equal(calls[0], w)
+            assert np.array_equal(calls, w)
             assert np.array_equal(terms.s_trace, w[idx])
 
     def test_negative_extrapolation_is_clipped(self):
         cfg, grid, p, st = weibull_setup(17, seed=3, n_steps=1)
         st.s[:] = 0.3
         s_prev = np.linspace(0.0, 1.0, grid.n_nodes)  # 2*0.3 - s_prev < 0 above 0.6
-        # the record of the step from s_prev to st.s
-        _, terms = step(replace(st, history=((s_prev, st.s),)), cfg.dt, grid, p)
+        # the history of a step from s_prev to st.s
+        _, terms = step(replace(st, history=(s_prev,)), cfg.dt, grid, p)
         want = np.maximum(2.0 * st.s - s_prev, 0.0)[grid.exposed_trace().indices]
         assert (want == 0.0).any() and (want > 0.0).any()
         assert np.array_equal(terms.s_trace, want)
-
-    def test_two_sweeps_freeze_s_n_then_sweep_1(self, monkeypatch):
-        idx, frozen, all_terms, records = self.frozen_inputs(monkeypatch, picard_iters=2)
-        for calls, terms, record in zip(frozen, all_terms, records):
-            assert len(calls) == 2
-            assert np.array_equal(calls[0], np.maximum(record[0], 0.0))
-            assert np.array_equal(calls[1], np.maximum(record[1], 0.0))
-            assert np.array_equal(terms.s_trace, calls[1][idx])
-
-
-# 17^2 cases: (config lines, dt, T)
-EQUAL_COST_CASES = {
-    "reference": ("", 0.01, 0.1),
-    "weibull": (
-        "nu_law = parabolic\nr_init_mode = weibull\nweibull_r0 = 0.2\nseed = 3\n",
-        0.04,
-        0.4,
-    ),
-    "box": ("constraint_mode = box\nR0 = 0.25\n", 0.01, 0.1),
-}
-
-
-def solve_to(lines, dt, t_end, picard_iters):
-    """The state at t_end of run-like steps of size dt with the given sweeps."""
-    text = (
-        f"nx = 17\nny = 17\n{lines}dt = {dt!r}\nn_steps = {round(t_end / dt)}\n"
-        f"picard_iters = {picard_iters}\n"
-    )
-    cfg, grid, p, st = setup(text)
-    return march(st, cfg, grid, p, warm=True)[0]
-
-
-@pytest.mark.parametrize("case", list(EQUAL_COST_CASES))
-def test_one_predicted_sweep_at_half_dt_beats_two_plain_sweeps(case):
-    # Equal cost: two solves per unit of dt on either side.  The error is
-    # measured against a dt/64, 4-sweep solution.
-    lines, dt, t_end = EQUAL_COST_CASES[case]
-    ref = solve_to(lines, dt / 64, t_end, 4)
-    one = solve_to(lines, dt / 2, t_end, 1)
-    two = solve_to(lines, dt, t_end, 2)
-    for name in ("s", "c", "r"):
-        want = getattr(ref, name)
-        err_one = np.abs(getattr(one, name) - want).max()
-        err_two = np.abs(getattr(two, name) - want).max()
-        assert err_one < err_two, (name, err_one, err_two)
