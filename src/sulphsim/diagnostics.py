@@ -375,8 +375,7 @@ def run_mms_level(
 def _mms_job(job: tuple[ManufacturedFields, int, tuple[float, ...]]) -> list[np.ndarray]:
     """s at MMS_T_END on the n x n grid for each dt of one (fields, n, dts) job.
 
-    A spatial job holds one grid's SPATIAL_DT, dt/2 and dt/4; the temporal
-    study's one job holds its whole ladder of halved dts.
+    mms_convergence makes one job per solution, so its dts hold one dt.
     """
     mf, n, dts = job
     return [_mms_solution(mf, n, dt, MMS_T_END) for dt in dts]
@@ -424,7 +423,7 @@ def mms_convergence(
     one grid, in which the spatial error cancels exactly; the orders are
     the observed orders of those differences.
 
-    Each grid's solutions run as one job, in up to SULPHSIM_THREADS worker
+    Each solution runs as one job, in up to SULPHSIM_THREADS worker
     processes (see pool.map_jobs); the table does not depend on how many.
     """
     if levels < 3:
@@ -438,12 +437,13 @@ def mms_convergence(
     else:
         raise ValueError(f"unknown study {study!r}")
     mf = ManufacturedFields(p if p is not None else PhysParams())
-    # One job per grid: OpenBLAS threads the preconditioner's GEMMs at 129^2
-    # in every process, and two such jobs at once oversubscribe the cores
-    # (with a job per solution and 2 workers, the 4-level spatial study took
-    # 3 to 24 s against 2.5 s serially).  The finest grid costs the most, so
-    # its job is submitted first; the solutions come back in plan order.
-    solved = map_jobs(_mms_job, [(mf, n, dts) for n, dts in reversed(plan)])[::-1]
+    # One job per solution, the most nodes x steps first, so that the last
+    # to start are the cheapest.
+    jobs = [(n, dt) for n, dts in plan for dt in dts]
+    jobs.sort(key=lambda job: job[0] ** 2 / job[1], reverse=True)
+    done = map_jobs(_mms_job, [(mf, n, (dt,)) for n, dt in jobs])
+    solution = {job: s for job, (s,) in zip(jobs, done)}
+    solved = [[solution[n, dt] for dt in dts] for n, dts in plan]
 
     if study == "spatial":
         h_or_dt = [1.0 / (n - 1) for n in sizes]

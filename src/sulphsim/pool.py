@@ -1,8 +1,19 @@
-"""Worker processes for independent jobs: sweep configurations and MMS levels.
+"""Worker processes for independent jobs: sweep configurations and MMS solutions.
 
 SULPHSIM_THREADS (default 1) is the number of worker processes.  Processes,
 not threads: a run's many small numpy calls hold the GIL, so threads cannot
-overlap them.  This module is not a timed layer of the benchmark's tracer,
+overlap them.  map_jobs forks its workers from the calling process; they
+pull job indices from one pipe, each index a 4-byte record, and send each
+pickled result back on a pipe of their own.
+
+Every job computes with one OpenBLAS thread, in a worker or in the calling
+process.  Two workers that each thread their GEMMs oversubscribe the cores
+(from 129^2 up, a 2-config sweep ran 10x slower on 2 workers than on one),
+and the rounding of a threaded GEMM depends on the thread count, so one
+thread everywhere also keeps the results independent of the worker count
+and the core count.  The count is set in the calling process before the
+fork and restored after the join; workers inherit it, and never set it
+themselves.  This module is not a timed layer of the benchmark's tracer,
 so time spent waiting on workers counts as the caller's own.
 """
 
@@ -11,6 +22,12 @@ from __future__ import annotations
 import os
 
 from .config import ConfigError
+
+_RECORD = 4  # bytes per job index on the feed pipe; one write is atomic
+_HEADER = 8  # bytes of the length before each pickled result
+
+_in_worker = False  # set in forked workers: their jobs run serially
+_blas = None  # (get, set) OpenBLAS thread-count functions, found on first use
 
 
 def worker_count() -> int:
@@ -26,42 +43,225 @@ def worker_count() -> int:
     return workers
 
 
+def blas_threads():
+    """(get, set) for numpy's OpenBLAS thread count, or None if not found.
+
+    The functions are looked up through the handle of numpy's core extension,
+    which links the BLAS that numpy's matrix products call.  Their names
+    depend on the wheel: scipy_openblas_*_num_threads64_ in numpy 2.x,
+    openblas_*_num_threads64_ in the 1.2x wheels, openblas_*_num_threads in
+    32-bit-integer builds.
+    """
+    global _blas
+    if _blas is None:
+        import ctypes
+        import sys
+
+        core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+            "numpy.core._multiarray_umath"
+        )
+        _blas = ()
+        lib = ctypes.CDLL(core.__file__) if core is not None else None
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                put.restype = None
+                _blas = (get, put)
+                break
+    return _blas or None
+
+
 def map_jobs(fn, jobs: list) -> list:
     """[fn(job) for job in jobs], run in up to SULPHSIM_THREADS worker processes.
 
     Results come back in job order.  Jobs start in that order, so a caller
     that knows their costs lists the costliest first.  With one worker, or
     inside a worker process, the jobs run one after another in the calling
-    process: a pool in every worker would oversubscribe the cores.  fn must
-    be a module-level function, and jobs, results and the exceptions fn
-    raises must pickle; an fn that does not pickle is a TypeError before
-    any worker starts (the pool would wait on it for ever).  The first
-    exception reaches the caller as itself, and jobs not yet started are
-    cancelled.
+    process: a pool in every worker would oversubscribe the cores.  Every
+    job runs with one OpenBLAS thread (see the module docstring).
+
+    Workers are forked, so fn and the jobs reach them without pickling, but
+    fn must be a module-level function, as for any process pool: one that
+    does not pickle is a TypeError before any worker starts.  Results and
+    the exceptions fn raises must pickle.  The first exception to come back
+    reaches the caller as itself; a worker that dies before it sends a
+    result is a RuntimeError that names its exit status or signal.  Either
+    way, and on KeyboardInterrupt, the workers still running are killed,
+    and no worker outlives the call.
     """
+    if _in_worker:
+        return [fn(job) for job in jobs]
     workers = min(worker_count(), len(jobs))
     if workers > 1:
-        # fork whatever the platform's default, so workers start from the
-        # parent's module state instead of a fresh import.  Imported here,
-        # so that importing sulphsim does not pay for multiprocessing.
-        import multiprocessing
         import pickle
-        from concurrent.futures import ProcessPoolExecutor
 
-        if multiprocessing.parent_process() is None:
+        try:
+            pickle.dumps(fn)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            name = getattr(fn, "__qualname__", repr(fn))
+            raise TypeError(
+                f"map_jobs runs {name} in worker processes, but it does not pickle "
+                f"({exc}); pass a module-level function"
+            ) from exc
+    blas = blas_threads()
+    threads = blas[0]() if blas is not None else 1
+    if threads != 1:
+        blas[1](1)
+    try:
+        if workers > 1:
+            return _fork_join(fn, jobs, workers)
+        return [fn(job) for job in jobs]
+    finally:
+        if threads != 1:
+            blas[1](threads)
+
+
+def _fork_join(fn, jobs: list, workers: int) -> list:
+    """map_jobs' pool: fork the workers, feed them indices, collect, reap."""
+    import pickle
+    import select
+    import signal
+    import struct
+
+    _flush()
+    feed_r, feed_w = os.pipe()
+    children: dict[int, int] = {}  # result pipe's read end -> worker pid
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            # SIGINT waits until the child runs as a worker and the parent
+            # holds its pid, so that an interrupt cannot orphan either
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                pickle.dumps(fn)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                name = getattr(fn, "__qualname__", repr(fn))
-                raise TypeError(
-                    f"map_jobs runs {name} in worker processes, but it does not pickle "
-                    f"({exc}); pass a module-level function"
-                ) from exc
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork")
-            )
-            try:
-                return list(pool.map(fn, jobs))
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, jobs, feed_r, out_w, mask, (feed_w, out_r, *children))
+                children[out_r] = pid
             finally:
-                pool.shutdown(cancel_futures=True)
-    return [fn(job) for job in jobs]
+                if out_r not in children:
+                    os.close(out_r)
+                os.close(out_w)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(feed_r)
+        feed_r = -1
+
+        poller = select.poll()
+        os.set_blocking(feed_w, False)
+        poller.register(feed_w, select.POLLOUT)
+        for fd in children:
+            poller.register(fd, select.POLLIN)
+        results = [None] * len(jobs)
+        buffers = {fd: bytearray() for fd in children}
+        fed = received = 0
+        while children:  # until every worker has read the feed's end and exited
+            for fd, _ in poller.poll():
+                if fd == feed_w:
+                    try:
+                        while fed < len(jobs):
+                            os.write(feed_w, struct.pack("<I", fed))
+                            fed += 1
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:  # no worker left to read: reaped below
+                        pass
+                    poller.unregister(feed_w)
+                    os.close(feed_w)
+                    feed_w = -1
+                    continue
+                chunk = os.read(fd, 1 << 16)
+                buf = buffers[fd]
+                buf += chunk
+                while len(buf) >= _HEADER:
+                    (size,) = struct.unpack_from("<Q", buf)
+                    if len(buf) < _HEADER + size:
+                        break
+                    index, ok, value = pickle.loads(buf[_HEADER : _HEADER + size])
+                    del buf[: _HEADER + size]
+                    if not ok:
+                        raise value
+                    results[index] = value
+                    received += 1
+                if not chunk:  # the worker has exited
+                    poller.unregister(fd)
+                    os.close(fd)
+                    _, status = os.waitpid(children.pop(fd), 0)
+                    if status != 0:
+                        raise RuntimeError(
+                            f"a map_jobs worker {_describe(status)} before its jobs were done"
+                        )
+        if received < len(jobs):  # a worker exited with status 0 inside a job
+            raise RuntimeError(
+                f"map_jobs' workers exited without {len(jobs) - received} of {len(jobs)} results"
+            )
+        return results
+    finally:
+        for fd in (feed_r, feed_w):
+            if fd >= 0:
+                os.close(fd)
+        for fd, pid in children.items():
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _describe(status: int) -> str:
+    """How a worker ended, from its wait status."""
+    import signal
+
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"was killed by signal {-code} ({signal.Signals(-code).name})"
+    return f"exited with status {code}"
+
+
+def _flush() -> None:
+    """Flush stdout and stderr, so that no buffered text is written twice or lost."""
+    import sys
+
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # missing, broken or closed
+            pass
+
+
+def _work(fn, jobs: list, feed: int, out: int, mask, inherited: tuple) -> None:
+    """A forked worker: run the job of each index read from feed, then exit.
+
+    It restores the signal mask and closes the parent's pipe ends that it
+    inherited, so that the feed and the other workers' result pipes reach
+    their end when their owners close them.  It never returns.
+    """
+    import pickle
+    import signal
+    import struct
+
+    global _in_worker
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in inherited:
+            os.close(fd)
+        _in_worker = True
+        # each record was written whole, so a read returns one or the end
+        while len(record := os.read(feed, _RECORD)) == _RECORD:
+            (index,) = struct.unpack("<I", record)
+            try:
+                message = pickle.dumps((index, True, fn(jobs[index])))
+            except Exception as exc:
+                try:
+                    message = pickle.dumps((index, False, exc))
+                except Exception:
+                    message = pickle.dumps((index, False, RuntimeError(repr(exc))))
+            view = memoryview(struct.pack("<Q", len(message)) + message)
+            while view:
+                view = view[os.write(out, view) :]
+        status = 0
+    finally:
+        _flush()
+        os._exit(status)
+

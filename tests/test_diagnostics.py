@@ -489,11 +489,12 @@ class TestMmsLevelsInWorkers:
         mms_convergence("spatial", 3)
         mms_convergence("temporal", 3)
         dt, n = diagnostics.SPATIAL_DT, diagnostics.TEMPORAL_GRID
+        # one job per solution, in decreasing nodes x steps
         assert started == [
-            (65, dt), (65, dt / 2), (65, dt / 4),
-            (33, dt), (33, dt / 2), (33, dt / 4),
-            (17, dt), (17, dt / 2), (17, dt / 4),
-            (n, 0.05), (n, 0.025), (n, 0.0125), (n, 0.00625),
+            (65, dt / 4), (65, dt / 2), (33, dt / 4),
+            (65, dt), (33, dt / 2), (17, dt / 4),
+            (33, dt), (17, dt / 2), (17, dt),
+            (n, 0.00625), (n, 0.0125), (n, 0.025), (n, 0.05),
         ]
 
     @pytest.mark.parametrize(
