@@ -13,8 +13,12 @@ and the rounding of a threaded GEMM depends on the thread count, so one
 thread everywhere also keeps the results independent of the worker count
 and the core count.  The count is set in the calling process before the
 fork and restored after the join; workers inherit it, and never set it
-themselves.  This module is not a timed layer of the benchmark's tracer,
-so time spent waiting on workers counts as the caller's own.
+themselves.  A fork stops OpenBLAS's thread pool, and the restore starts
+it again, with threads that spin on a core for about 0.13 s before they
+sleep; so the pool is then stopped again, as the fork left it, to start
+on the process's next threaded product.  This module is not a timed
+layer of the benchmark's tracer, so time spent waiting on workers counts
+as the caller's own.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ _HEADER = 8  # bytes of the length before each pickled result
 
 _in_worker = False  # set in forked workers: their jobs run serially
 _blas = None  # (get, set) OpenBLAS thread-count functions, found on first use
+_blas_stop = None  # OpenBLAS's thread-pool shutdown, found with them, if exported
 
 
 def worker_count() -> int:
@@ -50,9 +55,10 @@ def blas_threads():
     which links the BLAS that numpy's matrix products call.  Their names
     depend on the wheel: scipy_openblas_*_num_threads64_ in numpy 2.x,
     openblas_*_num_threads64_ in the 1.2x wheels, openblas_*_num_threads in
-    32-bit-integer builds.
+    32-bit-integer builds.  The pool shutdown that OpenBLAS runs before a
+    fork, blas_thread_shutdown_, is looked up with them.
     """
-    global _blas
+    global _blas, _blas_stop
     if _blas is None:
         import ctypes
         import sys
@@ -68,6 +74,7 @@ def blas_threads():
             if get is not None and put is not None:
                 put.restype = None
                 _blas = (get, put)
+                _blas_stop = getattr(lib, "blas_thread_shutdown_", None)
                 break
     return _blas or None
 
@@ -115,6 +122,8 @@ def map_jobs(fn, jobs: list) -> list:
     finally:
         if threads != 1:
             blas[1](threads)
+            if workers > 1 and _blas_stop is not None:
+                _blas_stop()  # leave the pool as the fork left it (see above)
 
 
 def _fork_join(fn, jobs: list, workers: int) -> list:

@@ -5,6 +5,7 @@ that dies is an error that says how.
 """
 
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -211,6 +212,27 @@ def test_jobs_compute_with_one_blas_thread(two_workers, monkeypatch, tmp_path):
     # jobs, once after; a worker, even in its nested map_jobs, never does
     me = os.getpid()
     assert log.read_text().splitlines() == [f"{me} 1", f"{me} 2", f"{me} 1", f"{me} 2"]
+
+
+def _cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_calling_process_is_idle_after_the_join(two_workers):
+    # restoring the count restarts OpenBLAS's pool, which the fork stopped;
+    # its threads would spin for about 0.13 s of CPU after every call
+    get, put = blas_threads()
+    before = get()
+    put(2)
+    try:
+        assert map_jobs(_identity, [0, 1]) == [0, 1]
+        assert get() == 2
+        start = _cpu_s()
+        time.sleep(0.3)
+        assert _cpu_s() - start < 0.03
+    finally:
+        put(before)
 
 
 SWEEP_129 = """
