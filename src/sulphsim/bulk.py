@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .grid import GRID_CACHE_SIZE, Grid2D
-from .model import PhysParams, porosity, permeability
+from .model import PhysParams, check_dt, porosity, permeability
 from .surface import step_r
 
 if TYPE_CHECKING:
@@ -288,8 +288,7 @@ def c_update_exact(c_n, s_frozen, dt: float, p: PhysParams):
     is monotone nonincreasing in dt and stays in [0, c_n].  The final clip
     only shields that guarantee against last-ulp roundoff.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (dt={dt})")
+    check_dt(dt)
     c_n = np.asarray(c_n, dtype=float)
     s_frozen = np.asarray(s_frozen, dtype=float)
     # min() decides a clean array in one pass.  It propagates NaN, so an
@@ -330,13 +329,14 @@ def _check_shapes(pat: _Pattern, nodal, edge) -> None:
     """Raise a ValueError naming the first array whose shape does not fit pat.
 
     nodal and edge are (name, array) pairs of fields on the grid's nodes
-    and on its exposed trace (none when the grid has no exposed edge).
-    Only the shapes are compared; no array is read.
+    and on its exposed trace.  Only the shapes are compared; no array is
+    read.
     """
     ny, nx = pat.shape
-    m = 0 if pat.trace is None else len(pat.trace)
-    where = "the exposed trace" if m else "a grid with no exposed edge"
-    for named, want, place in ((nodal, (pat.n,), f"the {nx} x {ny} grid"), (edge, (m,), where)):
+    for named, want, place in (
+        (nodal, (pat.n,), f"the {nx} x {ny} grid"),
+        (edge, (len(pat.trace),), "the exposed trace"),
+    ):
         for name, arr in named:
             shape = np.shape(arr)
             if shape != want:
@@ -361,13 +361,10 @@ def assemble_s_system(
     harness).  Rows are scaled by dual-cell volumes, so the matrix is
     symmetric by construction.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (dt={dt})")
+    check_dt(dt)
     pat = _pattern(grid)
     edge = (("r_new", r_new),)
     if boundary_flux is not None:
-        if pat.trace is None:
-            raise ValueError("boundary_flux given for a grid with no exposed edge")
         edge += (("boundary_flux", boundary_flux),)
     nodal = (("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c))
     _check_shapes(pat, nodal, edge)
@@ -437,12 +434,11 @@ def _assemble(
 
     diag = mass
     trace = pat.trace
-    if trace is not None:
-        nu = np.asarray(permeability(r_new, p), dtype=float)
-        if (nu < 0).any():
-            raise ValueError("negative boundary permeability nu(r)")
-        diag[trace.indices] += nu * trace.weights
-        rhs[trace.indices] += trace.weights * (nu * p.sbar + boundary_flux)
+    nu = np.asarray(permeability(r_new, p), dtype=float)
+    if (nu < 0).any():
+        raise ValueError("negative boundary permeability nu(r)")
+    diag[trace.indices] += nu * trace.weights
+    rhs[trace.indices] += trace.weights * (nu * p.sbar + boundary_flux)
     _add_face_couplings(diag, tx, ty, nx)
 
     # One strided write per slot (see _Pattern), then the pads.
@@ -750,8 +746,7 @@ def step(
     moves the result only within it.  The new state's history is s^n
     followed by the newest HISTORY_DEPTH - 2 values it read.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (dt={dt})")
+    check_dt(dt)
     pat = _pattern(grid)
     trace = pat.trace
     history = state.history[: HISTORY_DEPTH - 1]
@@ -770,10 +765,8 @@ def step(
     c_new = c_update_exact(state.c, s_frozen, dt, p)
     if _first_non_finite((("c_new", c_new),), pat):
         raise ValueError("non-finite values in c_new")
-    r_new, xi, s_tr = state.r, np.zeros_like(state.r), np.zeros(0)
-    if trace is not None:
-        s_tr = s_frozen[trace.indices]
-        r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
+    s_tr = s_frozen[trace.indices]
+    r_new, xi = step_r(state.r, c_new[trace.indices], s_tr, dt, p)
     sys, phi_new = _assemble(pat, rhs, c_new, r_new, dt, p)
     s_new, n_iter, resid = cg_solve(sys, x0=history_start(s_hist), rel_tol=STEP_CG_TOL)
     if _first_non_finite((("s", s_new),), pat):
@@ -782,11 +775,8 @@ def step(
     v = pat.volumes
     accumulation = float((v * (phi_new * s_new - phi_old * state.s)).sum() / dt)
     reaction = float(p.lam * (v * phi_new * c_new * s_new).sum())
-    if trace is not None:
-        nu = np.asarray(permeability(r_new, p))
-        boundary = float((trace.weights * nu * (p.sbar - s_new[trace.indices])).sum())
-    else:
-        boundary = 0.0
+    nu = np.asarray(permeability(r_new, p))
+    boundary = float((trace.weights * nu * (p.sbar - s_new[trace.indices])).sum())
 
     new_state = FieldState(state.t + dt, s_new, c_new, r_new, xi, s_hist[: HISTORY_DEPTH - 1])
     terms = BalanceTerms(

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-from .grid import Edge, Grid2D, ProfileLine, grid_line_index
-from .model import PhysParams, choice_error
+from .grid import NO_EXCHANGE_HINT, Edge, Grid2D, ProfileLine, grid_line_index
+from .model import PhysParams
 from .surface import RugosityInit, RugosityInitMode
 
 
@@ -23,7 +23,6 @@ class ConfigError(ValueError):
     pass
 
 
-EDGE_CHOICES = tuple(e.value for e in Edge) + ("none",)
 # What a value in the dialect cannot hold, having no escapes: the comment
 # mark and every line boundary str.splitlines knows.
 _UNWRITABLE = frozenset("#\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
@@ -40,7 +39,7 @@ class RunConfig(PhysParams):
     # grid
     nx: int = 65
     ny: int = 65
-    exposed_edge: str = "left"
+    exposed_edge: Edge = Edge.LEFT
     # time stepping
     dt: float = 1.0 / 5000.0
     n_steps: int = 100
@@ -74,8 +73,7 @@ class RunConfig(PhysParams):
         return PhysParams(**{f.name: getattr(self, f.name) for f in fields(PhysParams)})
 
     def grid(self) -> Grid2D:
-        edge = None if self.exposed_edge == "none" else Edge(self.exposed_edge)
-        return Grid2D(self.nx, self.ny, edge)
+        return Grid2D(self.nx, self.ny, self.exposed_edge)
 
     def rugosity_init(self) -> RugosityInit:
         return RugosityInit(
@@ -238,10 +236,11 @@ def _non_finite(obj) -> list[str]:
 def validate_config(cfg: RunConfig) -> list[str]:
     """Collect every violated invariant; empty list means valid."""
     problems = _non_finite(cfg)
-    if cfg.exposed_edge not in EDGE_CHOICES:
-        problems.append(choice_error("exposed_edge", EDGE_CHOICES, cfg.exposed_edge))
-    # every enum key of RunConfig, r_init_mode included, by its own name
+    # every enum key of RunConfig, exposed_edge and r_init_mode included,
+    # by its own name
     problems.extend(PhysParams.validate(cfg, enforce_global_bound=cfg.enforce_global_bound))
+    if cfg.exposed_edge == "none":  # the word of the sealed grid, which was removed
+        problems.append(f"every grid exposes one edge: {NO_EXCHANGE_HINT}")
     if cfg.nx < 3 or cfg.ny < 3:
         problems.append(f"grid needs nx, ny >= 3 (got {cfg.nx}x{cfg.ny})")
     if cfg.dt <= 0:

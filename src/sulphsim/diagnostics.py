@@ -18,7 +18,7 @@ from .bulk import (
     history_start,
 )
 from .grid import Grid2D
-from .model import ConstraintMode, PhysParams, permeability
+from .model import ConstraintMode, PhysParams, check_dt, permeability
 from .pool import map_jobs
 
 S_TOL = 1e-10
@@ -93,12 +93,9 @@ def audit_step(
     s_max = float(state.s.max())
     c_min = float(state.c.min())
     c_max = float(state.c.max())
-    if len(state.r):
-        r_min = float(state.r.min())
-        r_max = float(state.r.max())
-        xi_max = float(np.abs(state.xi).max())
-    else:
-        r_min = r_max = xi_max = 0.0
+    r_min = float(state.r.min())
+    r_max = float(state.r.max())
+    xi_max = float(np.abs(state.xi).max())
 
     if s_min < -S_TOL:
         flags.append(f"s_min={s_min:.3e} below -{S_TOL} at node {int(state.s.argmin())}")
@@ -107,9 +104,9 @@ def audit_step(
     if c_min < -C_TOL or c_max > p.C0 + C_TOL:
         node = int(state.c.argmin() if c_min < -C_TOL else state.c.argmax())
         flags.append(f"c range [{c_min:.3e}, {c_max:.3e}] outside [0, C0] at node {node}")
-    if len(state.r) and (r_min < -R_TOL):
+    if r_min < -R_TOL:
         flags.append(f"r_min={r_min:.3e} below 0 at trace node {int(state.r.argmin())}")
-    if p.constraint_mode is ConstraintMode.BOX and len(state.r) and r_max > p.R0 + R_TOL:
+    if p.constraint_mode is ConstraintMode.BOX and r_max > p.R0 + R_TOL:
         flags.append(f"r_max={r_max:.3e} above R0 at trace node {int(state.r.argmax())}")
 
     residual = abs(terms.accumulation + terms.reaction - terms.boundary_exchange)
@@ -315,8 +312,7 @@ def _mms_solution(
     all of them before as many exist (see bulk.history_start): step 1 from
     s^0, step 2 from 2*s^1 - s^0, and so on.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0 (dt={dt})")
+    check_dt(dt)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and >= 0 (t_end={t_end})")
     grid = Grid2D(n, n)

@@ -2,9 +2,10 @@
 
 Nodes sit at (i*hx, j*hy) with lexicographic index p = j*nx + i.  Each of
 the four boundary edges is tagged exposed (Robin exchange with the ambient
-concentration) or isolated (homogeneous Neumann); at most one edge may be
-exposed, and in the reference configuration it is the left one.  A grid is
-an immutable value, so structures derived from it are cached by value.
+concentration) or isolated (homogeneous Neumann); exactly one edge is
+exposed, and in the reference configuration it is the left one.  A grid
+with no exchange is nu0 = nul = 0 on any exposed edge.  A grid is an
+immutable value, so structures derived from it are cached by value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ LINE_ALIGN_TOL = 1e-12
 GRID_CACHE_SIZE = 16
 
 
-class Edge(Enum):
+class Edge(str, Enum):
     LEFT = "left"
     RIGHT = "right"
     BOTTOM = "bottom"
@@ -30,6 +31,8 @@ class Edge(Enum):
 
 
 _EDGE_CODES = {e: k for k, e in enumerate(Edge)}
+# What replaces a grid with no exposed edge, for the errors that reject one.
+NO_EXCHANGE_HINT = "for a grid with no exchange set nu0 = nul = 0, which gives the same s and c"
 
 
 class EdgeTag(Enum):
@@ -47,23 +50,22 @@ DEFAULT_TAGS = {
 
 @dataclass(frozen=True)
 class Grid2D:
-    """nx x ny nodes; exposed_edge is the one Robin edge, None if all are isolated."""
+    """nx x ny nodes; exposed_edge is the one Robin edge."""
 
     nx: int
     ny: int
-    exposed_edge: Edge | None = Edge.LEFT
+    exposed_edge: Edge = Edge.LEFT
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3 (got nx={self.nx}, ny={self.ny})")
         edge = self.exposed_edge
-        if edge is not None and not isinstance(edge, Edge):
-            raise ValueError(f"exposed_edge must be an Edge or None (got {edge!r})")
+        if not isinstance(edge, Edge):
+            raise ValueError(f"exposed_edge must be an Edge (got {edge!r}); {NO_EXCHANGE_HINT}")
         # Hashed once, from ints only: the generated hash would call the
         # pure-Python Enum.__hash__ on every cache lookup, and an int hash
         # stays valid in a process that unpickles the grid.
-        code = -1 if edge is None else _EDGE_CODES[edge]
-        object.__setattr__(self, "_hash", hash((self.nx, self.ny, code)))
+        object.__setattr__(self, "_hash", hash((self.nx, self.ny, _EDGE_CODES[edge])))
 
     def __hash__(self) -> int:
         return self._hash
@@ -105,9 +107,8 @@ class Grid2D:
         wy = self.axis_weights(self.ny, self.hy)
         return (wy[:, None] * wx[None, :]).ravel()
 
-    def exposed_trace(self) -> "BoundaryTrace | None":
-        e = self.exposed_edge
-        return None if e is None else boundary_trace(self, e)
+    def exposed_trace(self) -> "BoundaryTrace":
+        return boundary_trace(self, self.exposed_edge)
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,15 @@ def build_grid(nx: int, ny: int, tags: dict[Edge, EdgeTag] | None = None) -> Gri
     if tags is not None:
         full_tags.update(tags)
     exposed = [e for e, t in full_tags.items() if t is EdgeTag.EXPOSED]
+    if not exposed:
+        raise ValueError(f"the tags isolate every edge, but a grid exposes one; {NO_EXCHANGE_HINT}")
     if len(exposed) > 1:
         names = ", ".join(e.value for e in exposed)
         raise ValueError(
             f"at most one exposed edge is supported (got {names}); the left edge is "
             "exposed by default, so to expose another pass Edge.LEFT: EdgeTag.ISOLATED too"
         )
-    return Grid2D(nx=nx, ny=ny, exposed_edge=exposed[0] if exposed else None)
+    return Grid2D(nx=nx, ny=ny, exposed_edge=exposed[0])
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)

@@ -8,6 +8,7 @@ constraint r in [0, R0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
@@ -68,6 +69,16 @@ def enum_violations(obj) -> list[str]:
         for name, enum in enum_fields(type(obj))
         if not isinstance(getattr(obj, name), enum)
     ]
+
+
+def check_dt(dt: float) -> None:
+    """Raise a ValueError unless the step dt is finite and > 0.
+
+    The one check of every function that takes a step: a NaN dt passes a
+    plain dt <= 0 test and would turn the step's fields into NaN.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0 (dt={dt})")
 
 
 @dataclass(frozen=True)
@@ -192,8 +203,7 @@ def project_box(r_trial, dt: float, p: PhysParams):
     (r_new - r_old)/dt + xi + G = F of the constrained update; xi is zero
     exactly when the trial value is feasible.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (dt={dt})")
+    check_dt(dt)
     r_trial = np.asarray(r_trial, dtype=float)
     r = np.clip(r_trial, 0.0, p.R0)
     xi = (r_trial - r) / dt

@@ -52,12 +52,10 @@ def profile_rows(
                 x1, x2 = coord, line.coord
             rows.append((t, x1, x2, "s", float(svals[k])))
             rows.append((t, x1, x2, "c", float(cvals[k])))
-    trace = grid.exposed_trace()
-    if trace is not None and len(state.r):
-        x1_all = grid.x1()
-        x2_all = grid.x2()
-        for k, idx in enumerate(trace.indices):
-            rows.append((t, float(x1_all[idx]), float(x2_all[idx]), "r", float(state.r[k])))
+    x1_all = grid.x1()
+    x2_all = grid.x2()
+    for k, idx in enumerate(grid.exposed_trace().indices):
+        rows.append((t, float(x1_all[idx]), float(x2_all[idx]), "r", float(state.r[k])))
     return rows
 
 

@@ -88,29 +88,17 @@ def map_jobs(fn, jobs: list) -> list:
     process: a pool in every worker would oversubscribe the cores.  Every
     job runs with one OpenBLAS thread (see the module docstring).
 
-    Workers are forked, so fn and the jobs reach them without pickling, but
-    fn must be a module-level function, as for any process pool: one that
-    does not pickle is a TypeError before any worker starts.  Results and
-    the exceptions fn raises must pickle.  The first exception to come back
-    reaches the caller as itself; a worker that dies before it sends a
-    result is a RuntimeError that names its exit status or signal.  Either
-    way, and on KeyboardInterrupt, the workers still running are killed,
-    and no worker outlives the call.
+    Workers are forked, so fn and the jobs reach them without pickling: a
+    lambda or a local function serves as well as a module-level one.
+    Results and the exceptions fn raises must pickle.  The first exception
+    to come back reaches the caller as itself; a worker that dies before
+    it sends a result is a RuntimeError that names its exit status or
+    signal.  Either way, and on KeyboardInterrupt, the workers still
+    running are killed, and no worker outlives the call.
     """
     if _in_worker:
         return [fn(job) for job in jobs]
     workers = min(worker_count(), len(jobs))
-    if workers > 1:
-        import pickle
-
-        try:
-            pickle.dumps(fn)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            name = getattr(fn, "__qualname__", repr(fn))
-            raise TypeError(
-                f"map_jobs runs {name} in worker processes, but it does not pickle "
-                f"({exc}); pass a module-level function"
-            ) from exc
     blas = blas_threads()
     threads = blas[0]() if blas is not None else 1
     if threads != 1:

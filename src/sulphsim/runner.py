@@ -79,11 +79,7 @@ def initial_state(cfg: RunConfig) -> FieldState:
     rugosity profile, drawn from Xoshiro256pp(cfg.seed), on the exposed edge."""
     p = cfg.phys()
     grid = cfg.grid()
-    trace = grid.exposed_trace()
-    if trace is not None:
-        r0 = init_rugosity(trace, grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
-    else:
-        r0 = np.zeros(0)
+    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
     n = grid.n_nodes
     return FieldState(
         t=0.0,
@@ -142,10 +138,8 @@ def run(cfg: RunConfig) -> RunResult:
             metrics.cg_iterations_max = max(metrics.cg_iterations_max, terms.cg_iterations)
             entry = audit_step(state, p, terms, grid, step_index=k)
             report.append(entry)
-            if trace is not None:
-                c_edge = state.c[trace.indices]
-                if metrics.first_step_half_c0 is None and c_edge.min() < 0.5 * p.C0:
-                    metrics.first_step_half_c0 = k
+            if metrics.first_step_half_c0 is None and state.c[trace.indices].min() < 0.5 * p.C0:
+                metrics.first_step_half_c0 = k
             if cfg.strict and entry.flags:
                 raise StrictInvariantError(
                     f"step {k}: invariant violation: " + "; ".join(entry.flags)

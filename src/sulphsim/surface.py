@@ -19,6 +19,7 @@ from .grid import BoundaryTrace, Grid2D
 from .model import (
     ConstraintMode,
     PhysParams,
+    check_dt,
     coerce_enums,
     enum_violations,
     project_box,
@@ -94,8 +95,6 @@ def init_rugosity(
     p: PhysParams,
 ) -> np.ndarray:
     """Initial rugosity on the exposed trace; clamped into [0, R0] in box mode."""
-    if len(trace) == 0:
-        raise ValueError("cannot initialize rugosity on an empty trace")
     problems = init.validate()
     if problems:
         raise ValueError("; ".join(problems))
@@ -131,8 +130,7 @@ def step_r(
     identically zero and (r_new - r_n)/dt + G = 0 holds to roundoff by
     construction.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0 (dt={dt})")
+    check_dt(dt)
     r_n = np.asarray(r_n, dtype=float)
     if np.any(r_n < 0):
         raise ValueError("step_r requires r_n >= 0 nodewise")

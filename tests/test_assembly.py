@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 import sulphsim.bulk as bulk
 from sulphsim.bulk import FieldState, assemble_s_system, cg_solve
-from sulphsim.grid import Edge, EdgeTag, Grid2D, build_grid
+from sulphsim.grid import Edge, Grid2D, build_grid
 from sulphsim.model import PhysParams, permeability, porosity
 
 
@@ -33,10 +33,7 @@ def dense_oracle(grid, c_new, c_old, s_old, dt, p, source=None, robin=None):
     amat = np.zeros((n, n))
     b = np.zeros(n)
     exposed = grid.exposed_edge
-    trace = grid.exposed_trace()
-    tr_pos = {}
-    if trace is not None:
-        tr_pos = {int(idx): k for k, idx in enumerate(trace.indices)}
+    tr_pos = {int(idx): k for k, idx in enumerate(grid.exposed_trace().indices)}
 
     def wx(i):
         return hx * (0.5 if i in (0, nx - 1) else 1.0)
@@ -88,28 +85,31 @@ def exchange_data(r, p, flux):
 
 
 def make_state(grid, c_old, s_old):
+    m = len(grid.exposed_trace())
     return FieldState(
         t=0.0,
         s=np.asarray(s_old, dtype=float),
         c=np.asarray(c_old, dtype=float),
-        r=np.zeros(grid.ny if grid.exposed_edge else 0),
-        xi=np.zeros(grid.ny if grid.exposed_edge else 0),
+        r=np.zeros(m),
+        xi=np.zeros(m),
     )
 
 
-def isolated_tags():
-    return {e: EdgeTag.ISOLATED for e in Edge}
+# No exchange through the exposed edge: the Robin law adds nothing, so the
+# system is the all-Neumann one.
+NO_EXCHANGE = {"nu0": 0.0, "nul": 0.0}
 
 
 class TestAgainstDenseOracle:
     def test_spec_point_3x3(self):
-        # 3x3 grid, dt=1, phi==1, lam=1, c==1, all edges isolated
-        grid = build_grid(3, 3, isolated_tags())
-        p = PhysParams(A=1.0, B=0.0, lam=1.0, C0=1.0)
+        # 3x3 grid, dt=1, phi==1, lam=1, c==1, no exchange
+        grid = build_grid(3, 3)
+        p = PhysParams(A=1.0, B=0.0, lam=1.0, C0=1.0, **NO_EXCHANGE)
         c = np.ones(9)
         s_old = np.linspace(0, 1, 9)
-        sys = assemble_s_system(grid, make_state(grid, c, s_old), c, np.zeros(0), 1.0, p)
-        amat, b = dense_oracle(grid, c, c, s_old, 1.0, p)
+        r = np.zeros(3)
+        sys = assemble_s_system(grid, make_state(grid, c, s_old), c, r, 1.0, p)
+        amat, b = dense_oracle(grid, c, c, s_old, 1.0, p, robin=exchange_data(r, p, np.zeros(3)))
         assert np.allclose(sys.matrix().toarray(), amat, atol=1e-13)
         assert np.allclose(sys.rhs, b, atol=1e-13)
 
@@ -172,27 +172,30 @@ class TestAgainstDenseOracle:
 class TestStructure:
     def test_laplacian_annihilates_constants(self):
         # phi==1, lam=0, all-Neumann: A @ const = const/dt * volumes
-        grid = build_grid(9, 9, isolated_tags())
-        p = PhysParams(A=1.0, B=0.0, lam=1.0)
+        grid = build_grid(9, 9)
+        p = PhysParams(A=1.0, B=0.0, lam=1.0, **NO_EXCHANGE)
         c = np.zeros(grid.n_nodes)  # lam*c = 0 kills the reaction diagonal
-        sys = assemble_s_system(grid, make_state(grid, c, c), c, np.zeros(0), 0.25, p)
+        sys = assemble_s_system(grid, make_state(grid, c, c), c, np.zeros(9), 0.25, p)
         const = np.full(grid.n_nodes, 3.7)
         out = sys.matrix() @ const
         expected = grid.node_volumes() * 3.7 / 0.25
         assert np.allclose(out, expected, rtol=1e-13)
 
     def test_zero_permeability_equals_isolated(self):
-        p = PhysParams(nu0=0.0, nul=0.0)
-        g_exposed = build_grid(7, 7)
-        g_isolated = build_grid(7, 7, isolated_tags())
+        # with nu0 = nul = 0 no edge exchanges, so which one is exposed
+        # changes no bit of the system
+        p = PhysParams(**NO_EXCHANGE)
         rng = np.random.default_rng(4)
-        c = rng.uniform(0.1, 0.9, g_exposed.n_nodes)
-        s_old = rng.uniform(0, 1, g_exposed.n_nodes)
-        r = np.zeros(7)
-        sys1 = assemble_s_system(g_exposed, make_state(g_exposed, c, s_old), c, r, 1e-3, p)
-        sys2 = assemble_s_system(g_isolated, make_state(g_isolated, c, s_old), c, np.zeros(0), 1e-3, p)
-        assert np.array_equal(sys1.data, sys2.data)
-        assert np.array_equal(sys1.rhs, sys2.rhs)
+        c = rng.uniform(0.1, 0.9, 49)
+        s_old = rng.uniform(0, 1, 49)
+        r = rng.uniform(0, 2, 7)
+        systems = []
+        for edge in Edge:
+            grid = Grid2D(7, 7, edge)
+            systems.append(assemble_s_system(grid, make_state(grid, c, s_old), c, r, 1e-3, p))
+        for sys in systems[1:]:
+            assert np.array_equal(sys.data, systems[0].data)
+            assert np.array_equal(sys.rhs, systems[0].rhs)
 
     def test_symmetry(self):
         grid = build_grid(8, 6)
@@ -261,13 +264,6 @@ class TestStructure:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             assemble_s_system(grid, state, arrays["c_new"], arrays["r_new"], 1e-3, PhysParams())
 
-    def test_rugosity_on_a_grid_without_exposed_edge_is_rejected(self):
-        grid = build_grid(3, 3, isolated_tags())
-        c = np.full(9, 0.5)
-        message = "r_new has shape (3,), expected (0,) for a grid with no exposed edge"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            assemble_s_system(grid, make_state(grid, c, c), c, np.zeros(3), 1e-3, PhysParams())
-
     def test_finite_values_of_any_size_pass_the_scan(self):
         # s_old*s_old would overflow; the scan must not take that for inf
         grid = build_grid(3, 3)
@@ -288,15 +284,6 @@ class TestStructure:
                     grid, make_state(grid, c, c), c, np.zeros(5), 1e-3, PhysParams(),
                     boundary_flux=flux,
                 )
-
-    def test_rejects_boundary_flux_without_exposed_edge(self):
-        grid = build_grid(5, 5, isolated_tags())
-        c = np.full(25, 0.5)
-        with pytest.raises(ValueError, match="^boundary_flux given for a grid with no exposed edge"):
-            assemble_s_system(
-                grid, make_state(grid, c, c), c, np.zeros(0), 1e-3, PhysParams(),
-                boundary_flux=np.zeros(5),
-            )
 
     def test_rejects_negative_permeability(self):
         grid = build_grid(3, 3)

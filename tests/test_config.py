@@ -14,7 +14,7 @@ from sulphsim.config import (
     reject,
     validate_config,
 )
-from sulphsim.grid import ProfileLine, build_grid, extract_profile
+from sulphsim.grid import Edge, ProfileLine, build_grid, extract_profile
 from sulphsim.model import permeability
 from sulphsim.runner import run
 
@@ -212,7 +212,7 @@ class TestChoices:
             ("nu_law", "foo", "linear, parabolic"),
             ("constraint_mode", "x", "free, box"),
             ("r_init_mode", "bad", "constant, piecewise, weibull"),
-            ("exposed_edge", "north", "left, right, bottom, top, none"),
+            ("exposed_edge", "north", "left, right, bottom, top"),
         ],
     )
     def test_bad_choice_named_once(self, key, value, accepted):
@@ -221,6 +221,28 @@ class TestChoices:
         text = str(info.value)
         assert text.count(key) == 1
         assert f"key {key!r}: expected one of {accepted}, got {value!r}" in text
+
+    def test_sealed_grid_rejected_with_what_replaces_it(self, tmp_path, capsys):
+        # every grid exposes one edge; no exchange is nu0 = nul = 0
+        choice = "key 'exposed_edge': expected one of left, right, bottom, top, got 'none'"
+        with pytest.raises(ConfigError) as info:
+            parse_config("exposed_edge = none\n")
+        text = str(info.value)
+        assert choice in text and "nu0 = nul = 0" in text
+        assert text.count("exposed_edge") == 1
+        out = tmp_path / "run"
+        assert main(["run", "--set", "exposed_edge=none", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert choice in err and "nu0 = nul = 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edge", list(Edge))
+    def test_python_built_edge_matches_parsed(self, edge):
+        built = dataclasses.replace(RunConfig(), exposed_edge=edge.value)
+        parsed = parse_config(f"exposed_edge = {edge.value}\n")
+        assert built == parsed
+        assert parsed.exposed_edge is edge and parsed.exposed_edge == edge.value
+        assert parsed.grid().exposed_edge is edge
 
     def test_bad_choice_does_not_hide_other_violations(self):
         with pytest.raises(ConfigError, match=r"\(A1\)") as info:

@@ -29,8 +29,7 @@ from sulphsim.model import ConstraintMode, PhysParams, permeability
 
 
 def make_state(grid, s, c, r=None):
-    nr = 0 if grid.exposed_trace() is None else len(grid.exposed_trace())
-    r = np.zeros(nr) if r is None else r
+    r = np.zeros(len(grid.exposed_trace())) if r is None else r
     return FieldState(0.0, np.asarray(s, float), np.asarray(c, float), r, np.zeros_like(r))
 
 

@@ -33,7 +33,7 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(5, 2)
         with pytest.raises(ValueError, match="nx, ny >= 3"):
-            Grid2D(2, 5, None)
+            Grid2D(2, 5, Edge.LEFT)
 
     def test_rejects_two_exposed_edges(self):
         with pytest.raises(ValueError):
@@ -55,10 +55,12 @@ class TestBuildGrid:
         assert g.exposed_edge is Edge.LEFT
         assert g == Grid2D(5, 5, Edge.LEFT)
 
-    def test_all_isolated_allowed(self):
-        g = build_grid(5, 5, {Edge.LEFT: EdgeTag.ISOLATED})
-        assert g.exposed_edge is None
-        assert g.exposed_trace() is None
+    def test_all_isolated_rejected(self):
+        # no exchange is nu0 = nul = 0 on an exposed edge, and the message says so
+        with pytest.raises(ValueError, match="isolate every edge.*nu0 = nul = 0"):
+            build_grid(5, 5, {Edge.LEFT: EdgeTag.ISOLATED})
+        with pytest.raises(ValueError, match=r"got None\); .*nu0 = nul = 0"):
+            Grid2D(5, 5, None)
 
 
 class TestGridValue:
@@ -84,7 +86,7 @@ class TestGridValue:
         assert _pattern(back) is _pattern(g)
 
     def test_rejects_an_edge_given_by_name(self):
-        with pytest.raises(ValueError, match="exposed_edge must be an Edge or None"):
+        with pytest.raises(ValueError, match="exposed_edge must be an Edge"):
             Grid2D(5, 5, "left")
 
     def test_trace_arrays_read_only(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sulphsim.bulk import FieldState, assemble_s_system, c_update_exact, step
+from sulphsim.grid import build_grid
 from sulphsim.model import (
     ConstraintMode,
     NuLaw,
@@ -10,6 +12,7 @@ from sulphsim.model import (
     project_box,
     rugosity_reaction,
 )
+from sulphsim.surface import step_r
 
 
 def params(**kw):
@@ -203,3 +206,30 @@ class TestPhysParamsValidation:
         assert params().ceiling_guaranteed()
         assert not params(B=2.0).ceiling_guaranteed()
         assert not params(sbar=1.5, S0=1.0).ceiling_guaranteed()
+
+
+def _takes_dt(name):
+    """The function name called with every argument but dt fixed, on a 5 x 5 grid."""
+    p = PhysParams()
+    grid = build_grid(5, 5)
+    state = FieldState(0.0, np.full(25, 0.5), np.full(25, p.C0), np.full(5, 0.2), np.zeros(5))
+    edge = grid.exposed_trace().indices
+    return {
+        "c_update_exact": lambda dt: c_update_exact(state.c, state.s, dt, p),
+        "step": lambda dt: step(state, dt, grid, p),
+        "step_r": lambda dt: step_r(state.r, state.c[edge], state.s[edge], dt, p),
+        "project_box": lambda dt: project_box(state.r, dt, p),
+        "assemble_s_system": lambda dt: assemble_s_system(grid, state, state.c, state.r, dt, p),
+    }[name]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name", ["c_update_exact", "step", "step_r", "project_box", "assemble_s_system"]
+)
+def test_bad_dt_rejected_by_name(name, dt):
+    # a NaN dt passes a dt <= 0 test; an inf one used to fail later, as a
+    # non-finite field, after a RuntimeWarning
+    with pytest.raises(ValueError, match=r"^dt must be finite and > 0 \(dt="):
+        _takes_dt(name)(dt)

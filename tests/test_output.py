@@ -18,8 +18,7 @@ from sulphsim.output import (
 def state_on(grid, seed=0):
     rng = np.random.default_rng(seed)
     n = grid.n_nodes
-    tr = grid.exposed_trace()
-    nr = 0 if tr is None else len(tr)
+    nr = len(grid.exposed_trace())
     return FieldState(
         0.25, rng.uniform(0, 1, n), rng.uniform(0, 1, n), rng.uniform(0, 1, nr), np.zeros(nr)
     )

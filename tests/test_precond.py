@@ -13,7 +13,7 @@ import sulphsim.bulk as bulk
 import sulphsim.diagnostics as diagnostics
 from sulphsim.bulk import FieldState, _preconditioner, assemble_s_system, cg_solve, step
 from sulphsim.config import parse_config
-from sulphsim.grid import Edge, EdgeTag, build_grid
+from sulphsim.grid import build_grid
 from sulphsim.model import PhysParams
 from sulphsim.runner import initial_state
 
@@ -68,13 +68,14 @@ class TestFastDiagonalisation:
             assert u @ apply(u) > 0
 
     def test_constant_coefficients_converge_in_one_iteration(self):
-        # No exposed edge and uniform c: the model operator is the matrix.
-        p = PhysParams()
-        grid = build_grid(33, 33, {e: EdgeTag.ISOLATED for e in Edge})
+        # No exchange (nu0 = nul = 0) and uniform c: the model operator is the matrix.
+        p = PhysParams(nu0=0.0, nul=0.0)
+        grid = build_grid(33, 33)
         n = grid.n_nodes
         c = np.full(n, 0.5)
         s_old = np.random.default_rng(8).uniform(0.0, 1.0, n)
-        sys = assemble_s_system(grid, FieldState(0.0, s_old, c, np.zeros(0), np.zeros(0)), c, np.zeros(0), 1e-2, p)
+        r = np.zeros(33)
+        sys = assemble_s_system(grid, FieldState(0.0, s_old, c, r, r), c, r, 1e-2, p)
         assert sys.model_coefs is not None
         x, iters, _ = cg_solve(sys, rel_tol=1e-12)
         assert iters == 1

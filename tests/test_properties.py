@@ -1,7 +1,8 @@
 """Property tests of the coupled step over the admissible parameter region.
 
-On 9^2 grids, with lam up to 1e4, dt up to 0.05, both permeability laws
-and both rugosity constraint modes: 15 steps with the warm-started CG
+On 9^2 grids, with lam up to 1e4, dt up to 0.05, both permeability laws,
+both rugosity constraint modes and any of the four edges exposed (with no
+exchange through it, nu0 = nul = 0, as one case): 15 steps with the warm-started CG
 solves agree with the same 15 steps solved directly, and every step audits
 clean.  Each discrete guarantee is also checked directly, at the audit's
 tolerances: 0 <= s <= S0 when the ceiling hypotheses hold, c
@@ -39,11 +40,12 @@ def admissible_configs(draw):
     nul = draw(st.floats(0.0, 2.0))
     g = draw(st.floats(0.0, 100.0))
     seed = draw(st.integers(1, 2**31))
+    edge = draw(st.sampled_from(["left", "right", "bottom", "top"]))
     return (
         f"nx = 9\nny = 9\ndt = {dt!r}\nn_steps = {N_STEPS}\nlam = {lam!r}\n"
         f"nu_law = {nu_law}\nconstraint_mode = {mode}\nR0 = {r_max!r}\n"
         f"nu0 = {nu0!r}\nnul = {nul!r}\ng = {g!r}\n"
-        f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\n"
+        f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\nexposed_edge = {edge}\n"
     )
 
 
@@ -58,9 +60,9 @@ def broken_guarantees(old, new, terms, p):
         broken.append("c rose")
     if new.c.min() < -C_TOL or new.c.max() > p.C0 + C_TOL:
         broken.append("c outside [0, C0]")
-    if len(new.r) and new.r.min() < -R_TOL:
+    if new.r.min() < -R_TOL:
         broken.append("r below 0")
-    if p.constraint_mode is ConstraintMode.BOX and len(new.r) and new.r.max() > p.R0 + R_TOL:
+    if p.constraint_mode is ConstraintMode.BOX and new.r.max() > p.R0 + R_TOL:
         broken.append("r above R0")
     summands = (terms.accumulation, terms.reaction, terms.boundary_exchange)
     residual = abs(terms.accumulation + terms.reaction - terms.boundary_exchange)
@@ -107,10 +109,19 @@ STIFF_CORNER = (
 )
 
 
+# No exchange through the exposed edge: the case of a grid with no exposed edge.
+NO_EXCHANGE = (
+    "nx = 9\nny = 9\ndt = 0.01\nn_steps = 15\nlam = 100.0\nnu_law = linear\n"
+    "constraint_mode = free\nR0 = 4.0\nnu0 = 0.0\nnul = 0.0\ng = 30.0\n"
+    "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 1\nexposed_edge = bottom\n"
+)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(admissible_configs())
 @example(TINY_EXCHANGE)
 @example(STIFF_CORNER)
+@example(NO_EXCHANGE)
 def test_warm_started_steps_match_direct_solves_and_audit_clean(text):
     cfg = parse_config(text)
     got, flags = march(cfg)

@@ -13,18 +13,14 @@ import sulphsim.bulk as bulk
 import sulphsim.runner as runner
 from sulphsim.bulk import FieldState, step
 from sulphsim.config import parse_config
-from sulphsim.grid import Edge, EdgeTag, build_grid
+from sulphsim.grid import Edge, Grid2D, build_grid
 from sulphsim.model import PhysParams
 from sulphsim.rng import Xoshiro256pp
 from sulphsim.surface import RugosityInit, init_rugosity
 
 
 def initial_state(grid, p, r_init=None, seed=1):
-    trace = grid.exposed_trace()
-    if trace is not None:
-        r0 = init_rugosity(trace, grid, r_init or RugosityInit(), Xoshiro256pp(seed), p)
-    else:
-        r0 = np.zeros(0)
+    r0 = init_rugosity(grid.exposed_trace(), grid, r_init or RugosityInit(), Xoshiro256pp(seed), p)
     n = grid.n_nodes
     return FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
 
@@ -147,16 +143,22 @@ class TestDeterminism:
 
 
 class TestNoExposedEdge:
+    """No exchange is nu0 = nul = 0: no edge then lets SO2 in or out."""
+
     def test_runs_without_robin_or_rugosity(self):
-        p = PhysParams()
-        tags = {e: EdgeTag.ISOLATED for e in Edge}
-        grid = build_grid(9, 9, tags)
-        n = grid.n_nodes
-        st = FieldState(0.0, np.full(n, 0.4), np.full(n, p.C0), np.zeros(0), np.zeros(0))
-        new, terms = step(st, 1e-3, grid, p)
-        assert len(new.r) == 0
-        assert terms.boundary_exchange == 0.0
-        assert new.s.max() < 0.4
+        p = PhysParams(nu0=0.0, nul=0.0)
+        n = 81
+        s_new = []
+        for edge in Edge:
+            grid = Grid2D(9, 9, edge)
+            st = FieldState(0.0, np.full(n, 0.4), np.full(n, p.C0), np.zeros(9), np.zeros(9))
+            new, terms = step(st, 1e-3, grid, p)
+            assert terms.boundary_exchange == 0.0
+            assert new.s.max() < 0.4
+            s_new.append(new.s)
+        # with nothing exchanged, which edge is exposed changes no bit of s
+        for s in s_new[1:]:
+            assert np.array_equal(s, s_new[0])
 
 
 def weibull_text(n, seed, n_steps):
@@ -207,8 +209,7 @@ def assert_snapshot_holds(out_dir, k, state, grid):
             for row in csv.DictReader(fh)
             if row["field"] == "r" and float(row["t"]) == state.t
         }
-    trace = grid.exposed_trace()
-    nodes = [] if trace is None else trace.indices
+    nodes = grid.exposed_trace().indices
     assert got == dict(zip(zip(grid.x1()[nodes], grid.x2()[nodes]), state.r))
 
 
@@ -313,7 +314,7 @@ START_CASES = {
         "nx = 17\nny = 33\nexposed_edge = top\nconstraint_mode = box\nR0 = 0.21\n"
         "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 5\nn_steps = 1\n"
     ),
-    "no_edge": "nx = 9\nny = 9\nexposed_edge = none\nn_steps = 1\n",
+    "no_exchange": "nx = 9\nny = 9\nexposed_edge = right\nnu0 = 0\nnul = 0\nn_steps = 1\n",
 }
 
 
@@ -326,8 +327,8 @@ class TestInitialState:
         assert_snapshot_holds(tmp_path, 0, st, grid)
         if case == "box_clipped":
             assert 0 < np.count_nonzero(st.r == p.R0) < len(st.r)
-        if case == "no_edge":
-            assert len(st.r) == len(st.xi) == 0
+        if case == "no_exchange":
+            assert len(st.r) == len(st.xi) == grid.ny
         assert st.t == 0.0 and st.history == ()
         assert np.array_equal(st.s, np.zeros(grid.n_nodes))
         assert np.array_equal(st.c, np.full(grid.n_nodes, p.C0))
