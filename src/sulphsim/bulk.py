@@ -128,54 +128,58 @@ class FieldState:
 
 @dataclass
 class LinearSystem:
-    """Symmetric positive definite system in CSR layout plus right-hand side.
+    """The s-system of one grid: a 5-point matrix in CSR layout plus right-hand side.
 
-    pattern is the grid stencil the system was assembled on and
-    model_coefs = (phi_bar, m_bar) the coefficients of the
-    constant-coefficient model operator that preconditions it.  A system
-    built by hand, without them, is preconditioned with Jacobi.  A grid
-    system stores five entries per row (see _Pattern): the stencil's
-    nonzeros plus an explicit 0 for each neighbour a boundary row lacks,
-    placed on the row's own column.
+    pattern is the grid stencil the system was assembled on.  It fixes the
+    CSR structure, which indptr and indices read: five entries per row
+    (see _Pattern), the stencil's nonzeros plus an explicit 0 for each
+    neighbour a boundary row lacks, placed on the row's own column.  data
+    holds the entries in that layout.  model_coefs = (phi_bar, m_bar) are
+    the coefficients of the constant-coefficient model operator that
+    preconditions the system (see _preconditioner).
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    pattern: _Pattern
     data: np.ndarray
     rhs: np.ndarray
-    pattern: _Pattern | None = None
-    model_coefs: tuple[float, float] | None = None
+    model_coefs: tuple[float, float]
 
     @property
     def n(self) -> int:
-        return len(self.rhs)
+        return self.pattern.n
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
 
     def matrix(self) -> scipy.sparse.csr_matrix:
         """The matrix as a canonical csr_matrix that owns copies of the arrays.
 
-        Duplicate entries are summed and each row's columns ascend, so a
-        grid system's pads merge into the diagonal (0.0 + d = d) and scipy
-        routines that canonicalise in place, such as spsolve, accept it.
-        The first call in a process imports scipy.sparse, which a run never
-        needs (see _load_sparsetools).  An import that finds the kernel
-        module already loaded does not bind it as scipy.sparse's attribute,
-        so this call binds it.  Raises a ValueError if the arrays do not
-        form a CSR matrix (see _check_csr).
+        Duplicate entries are summed and each row's columns ascend, so the
+        pads merge into the diagonal (0.0 + d = d) and scipy routines that
+        canonicalise in place, such as spsolve, accept it.  The first call
+        in a process imports scipy.sparse, which a run never needs (see
+        _load_sparsetools).  An import that finds the kernel module already
+        loaded does not bind it as scipy.sparse's attribute, so this call
+        binds it.  Raises a ValueError if data or rhs does not fit the
+        pattern (see _check_arrays).
         """
         import scipy.sparse as sp
 
         if "_sparsetools" not in vars(sp):
             sp._sparsetools = sys.modules[_SPARSETOOLS]
-        _check_csr(self)
+        _check_arrays(self)
         a = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
         a.sum_duplicates()
         return a
 
     def diagonal(self) -> np.ndarray:
-        """The matrix diagonal; for a grid system a strided view into data."""
-        if self.pattern is not None:
-            return self.data[self.pattern.diag_slot]
-        return self.matrix().diagonal()
+        """The matrix diagonal, a strided view into data."""
+        return self.data[self.pattern.diag_slot]
 
 
 def _cosine_basis(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +371,8 @@ def assemble_s_system(
     if boundary_flux is not None:
         edge += (("boundary_flux", boundary_flux),)
     nodal = (("c_new", c_new), ("s_old", state_old.s), ("c_old", state_old.c))
-    _check_shapes(pat, nodal, edge)
+    forcing = () if source is None else (("source", source),)
+    _check_shapes(pat, nodal + forcing, edge)
     bad = _first_non_finite(nodal, pat)
     if bad:
         raise ValueError(f"non-finite values in {bad}")
@@ -456,15 +461,7 @@ def _assemble(
     # they form without the row-end zeros, which fixes the order of the sum.
     tx_sum = np.ascontiguousarray(tx.reshape(pat.shape)[:, :-1]).sum()
     phi_bar = float(2.0 * (tx_sum + ty.sum()) / pat.unit_diag_sum)
-    system = LinearSystem(
-        indptr=pat.indptr,
-        indices=pat.indices,
-        data=data,
-        rhs=rhs,
-        pattern=pat,
-        model_coefs=(phi_bar, m_bar),
-    )
-    return system, phi_new
+    return LinearSystem(pat, data, rhs, (phi_bar, m_bar)), phi_new
 
 
 class CgNonConvergence(RuntimeError):
@@ -490,9 +487,8 @@ class CgBreakdown(RuntimeError):
 def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     """Return r -> P^{-1} r, the preconditioner cg_solve uses for sys.
 
-    For a grid system, P^{-1} = S M^{-1} S with M the constant-coefficient
-    model operator and S = sqrt(diag(M)/diag(A)), applied through the
-    cosine eigenbasis; for a system built by hand, Jacobi.  Both are
+    P^{-1} = S M^{-1} S, with M the constant-coefficient model operator and
+    S = sqrt(diag(M)/diag(A)), applied through the cosine eigenbasis; it is
     symmetric positive definite.  The basis is applied as dense products
     rather than scipy.fft.dctn(type=1): on a 2-core Xeon with two OpenBLAS
     threads one apply took 48/380/1750 us that way, against 93/410/1790 us
@@ -505,8 +501,6 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     # residual), any entry <= 0 does not.
     if d.size and not d.min() > 0 and (d <= 0).any():
         raise ValueError("system diagonal is not strictly positive")
-    if sys.model_coefs is None:
-        return lambda r: r / d
     pat = sys.pattern
     phi_bar, m_bar = sys.model_coefs
     # 1/(phi_bar*eig + m_bar) and sqrt((phi_bar*unit_diag + m_bar*V)/d), in place
@@ -529,31 +523,15 @@ def _preconditioner(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _check_csr(sys: LinearSystem) -> None:
-    """Raise a ValueError unless sys's arrays form a float64 CSR matrix of sys.n rows.
+def _check_arrays(sys: LinearSystem) -> None:
+    """Raise a ValueError unless sys's data and rhs fit its pattern of sys.n rows.
 
-    Neither scipy's CSR kernel nor csr_matrix.sum_duplicates checks that
-    indptr does not decrease or that each column index is in [0, n), and
-    on arrays that break either they read or write out of bounds.  A grid
-    system that holds its pattern's own read-only indptr and indices was
-    built valid, so only the sizes and the dtype are checked for it.
+    scipy's CSR kernel checks nothing, and reads data past its end if it
+    is short.  indptr and indices are the pattern's own, built valid.
     """
-    n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
-    if (
-        indptr.shape != (n + 1,)
-        or indices.shape != data.shape
-        or data.dtype != np.float64
-        or indptr[0] != 0
-        or indptr[-1] > data.size
-    ):
+    n = sys.n
+    if sys.data.shape != (5 * n,) or sys.data.dtype != np.float64 or sys.rhs.shape != (n,):
         raise ValueError(f"system arrays do not form a float64 CSR matrix of {n} rows")
-    pat = sys.pattern
-    if pat is not None and indptr is pat.indptr and indices is pat.indices:
-        return
-    if (np.diff(indptr) < 0).any():
-        raise ValueError("system indptr decreases: the rows do not form a CSR matrix")
-    if indices.size and not (indices.min() >= 0 and indices.max() < n):
-        raise ValueError(f"system column indices are not all in [0, {n})")
 
 
 def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
@@ -562,10 +540,10 @@ def _matvec(sys: LinearSystem) -> Callable[[np.ndarray], np.ndarray]:
     Calls scipy's CSR kernel directly: it sums each row in storage order,
     as csr_matrix @ x does, but skips the csr_matrix construction and the
     operator dispatch, about 25 us per solve at any grid size.  The kernel
-    checks nothing, so this checks the arrays (see _check_csr) and each
+    checks nothing, so this checks the arrays (see _check_arrays) and each
     vector's shape.
     """
-    _check_csr(sys)
+    _check_arrays(sys)
     n, indptr, indices, data = sys.n, sys.indptr, sys.indices, sys.data
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -586,12 +564,12 @@ def cg_solve(
 ):
     """Preconditioned conjugate gradients.
 
-    The preconditioner (see _preconditioner()) is the fast-diagonalisation
-    model solve for a grid system and Jacobi for one built by hand.
-    Returns (solution, iterations, final true residual norm); stops when
-    ||b - A x||_2 <= rel_tol * ||b||_2.  The recursive residual controls
-    the iteration and the true residual is verified before returning.  A
-    start x0 whose residual is nonzero is refined by at least one
+    The preconditioner is the fast-diagonalisation model solve (see
+    _preconditioner()).  Returns (solution, iterations, final true
+    residual norm); stops when ||b - A x||_2 <= rel_tol * ||b||_2.  The
+    recursive residual controls the iteration and the true residual is
+    verified before returning.  A start x0 whose residual is nonzero is
+    refined by at least one
     iteration even if it already meets the tolerance, so that an
     extrapolated start is never returned as it came; one whose residual
     is exactly 0 is returned at once, with 0 iterations.  A right-hand

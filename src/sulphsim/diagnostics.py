@@ -353,28 +353,10 @@ def _error_norms(grid: Grid2D, err: np.ndarray) -> tuple[float, float]:
     return float(np.sqrt(np.sum(vols * err**2))), float(np.abs(err).max())
 
 
-def run_mms_level(
-    mf: ManufacturedFields,
-    n: int,
-    dt: float,
-    t_end: float,
-) -> tuple[float, float]:
-    """Integrate the forced s-equation on an n x n grid; return error norms at t_end.
-
-    The error is s - s_exact at t_end, in the norms of _error_norms.
-    """
-    s = _mms_solution(mf, n, dt, t_end)
-    grid = Grid2D(n, n)
-    return _error_norms(grid, s - mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), t_end))
-
-
-def _mms_job(job: tuple[ManufacturedFields, int, tuple[float, ...]]) -> list[np.ndarray]:
-    """s at MMS_T_END on the n x n grid for each dt of one (fields, n, dts) job.
-
-    mms_convergence makes one job per solution, so its dts hold one dt.
-    """
-    mf, n, dts = job
-    return [_mms_solution(mf, n, dt, MMS_T_END) for dt in dts]
+def _mms_job(job: tuple[ManufacturedFields, int, float]) -> np.ndarray:
+    """s at MMS_T_END on the n x n grid, for one (fields, n, dt) job."""
+    mf, n, dt = job
+    return _mms_solution(mf, n, dt, MMS_T_END)
 
 
 def _extrapolate_in_time(s_dt: np.ndarray, s_half: np.ndarray, s_quarter: np.ndarray) -> np.ndarray:
@@ -437,8 +419,8 @@ def mms_convergence(
     # to start are the cheapest.
     jobs = [(n, dt) for n, dts in plan for dt in dts]
     jobs.sort(key=lambda job: job[0] ** 2 / job[1], reverse=True)
-    done = map_jobs(_mms_job, [(mf, n, (dt,)) for n, dt in jobs])
-    solution = {job: s for job, (s,) in zip(jobs, done)}
+    done = map_jobs(_mms_job, [(mf, n, dt) for n, dt in jobs])
+    solution = dict(zip(jobs, done))
     solved = [[solution[n, dt] for dt in dts] for n, dts in plan]
 
     if study == "spatial":

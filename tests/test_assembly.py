@@ -285,6 +285,19 @@ class TestStructure:
                     boundary_flux=flux,
                 )
 
+    @pytest.mark.parametrize("shape", [(80,), (1,), (81, 1)])
+    def test_rejects_source_of_wrong_shape(self, shape):
+        # n - 1 failed inside numpy naming no field, (1,) broadcast over every
+        # node, and (n, 1) failed as a non-broadcastable output operand
+        grid = build_grid(9, 9)
+        c = np.full(81, 0.5)
+        message = f"source has shape {shape}, expected (81,) for the 9 x 9 grid"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble_s_system(
+                grid, make_state(grid, c, c), c, np.zeros(9), 1e-3, PhysParams(),
+                source=np.ones(shape),
+            )
+
     def test_rejects_negative_permeability(self):
         grid = build_grid(3, 3)
         p = PhysParams(nu0=0.5, nul=0.0, rl=1.0, R0=4.0)

@@ -1,14 +1,19 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import sulphsim.bulk as bulk
 from sulphsim.bulk import (
+    DIAG,
+    EAST,
+    WEST,
     CgBreakdown,
     CgNonConvergence,
     FieldState,
-    LinearSystem,
     assemble_s_system,
     cg_solve,
     step,
@@ -16,87 +21,112 @@ from sulphsim.bulk import (
 from sulphsim.grid import build_grid
 from sulphsim.model import PhysParams
 
+N = 9  # grid side
 
-def csr_from_dense(a, b):
-    nz_per_row = [np.nonzero(row)[0] for row in a]
-    indptr = np.zeros(len(a) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(nz) for nz in nz_per_row])
-    indices = np.concatenate(nz_per_row)
-    data = np.concatenate([a[i, nz] for i, nz in enumerate(nz_per_row)])
-    return LinearSystem(indptr, indices, data, np.asarray(b, dtype=float))
+
+def grid_system(seed=11):
+    """The s-system on the N x N grid, assembled from seeded random c, s and r."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(N, N)
+    m = len(grid.exposed_trace())
+    c = rng.uniform(0.2, 0.9, grid.n_nodes)
+    s = rng.uniform(0.0, 1.0, grid.n_nodes)
+    r = rng.uniform(0.0, 1.0, m)
+    return assemble_s_system(grid, FieldState(0.0, s, c, r, np.zeros(m)), c, r, 1e-2, PhysParams())
+
+
+def with_slots(sys, fill):
+    """sys with its data replaced: fill(slots) edits a copy shaped (N, N, 5) in place."""
+    data = sys.data.copy()
+    fill(data.reshape(N, N, 5))
+    return replace(sys, data=data)
+
+
+def diagonal_only(sys, diag):
+    """sys with every off-diagonal slot zeroed and the diagonal set to diag."""
+    data = np.zeros_like(sys.data)
+    data[DIAG::5] = diag
+    return replace(sys, data=data)
+
+
+def direct(sys):
+    return spla.spsolve(sys.matrix().tocsc(), sys.rhs)
+
+
+def true_residual(sys, x):
+    return np.linalg.norm(sys.rhs - sys.matrix() @ x)
 
 
 class TestBasics:
     def test_identity(self):
-        b = np.array([3.0, -1.0, 2.5])
-        sys = csr_from_dense(np.eye(3), b)
-        x, iters, res = cg_solve(sys)
-        assert np.allclose(x, b, atol=1e-12)
-        assert iters <= 1
+        b = np.random.default_rng(3).standard_normal(N * N)
+        sys = replace(diagonal_only(grid_system(), 1.0), rhs=b)
+        x, _, _ = cg_solve(sys, rel_tol=1e-12)
+        assert np.allclose(x, b, rtol=0, atol=1e-11)
 
     def test_diagonal(self):
-        d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        sys = csr_from_dense(d, np.ones(5))
-        x, _, _ = cg_solve(sys)
-        assert np.allclose(x, [1, 1 / 2, 1 / 3, 1 / 4, 1 / 5], atol=1e-12)
+        sys = grid_system()
+        d = sys.diagonal().copy()
+        x, _, _ = cg_solve(diagonal_only(sys, d), rel_tol=1e-12)
+        assert np.allclose(x, sys.rhs / d, rtol=1e-11, atol=0)
 
     def test_zero_rhs_short_circuits(self):
-        sys = csr_from_dense(np.eye(4), np.zeros(4))
-        x, iters, res = cg_solve(sys, x0=np.ones(4))
-        assert np.array_equal(x, np.zeros(4))
+        sys = replace(grid_system(), rhs=np.zeros(N * N))
+        x, iters, res = cg_solve(sys, x0=np.ones(N * N))
+        assert np.array_equal(x, np.zeros(N * N))
         assert iters == 0 and res == 0.0
 
     @pytest.mark.parametrize("shift", [-600, 600])
     def test_tiny_and_huge_rhs_scale_exactly(self, shift):
         # b scaled by 2^-600 (its squares underflow, so b.b == 0) or 2^600
         # (they overflow): the solve is the unscaled one, scaled.
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((20, 20))
-        a = m @ m.T + 20 * np.eye(20)
-        b = rng.standard_normal(20)
-        x0 = rng.standard_normal(20)
-        x, iters, res = cg_solve(csr_from_dense(a, b), x0=x0, rel_tol=1e-12)
-        got = cg_solve(csr_from_dense(a, np.ldexp(b, shift)), x0=np.ldexp(x0, shift), rel_tol=1e-12)
+        sys = grid_system()
+        x0 = np.random.default_rng(17).standard_normal(N * N)
+        x, iters, res = cg_solve(sys, x0=x0, rel_tol=1e-12)
+        scaled = replace(sys, rhs=np.ldexp(sys.rhs, shift))
+        got = cg_solve(scaled, x0=np.ldexp(x0, shift), rel_tol=1e-12)
         assert np.array_equal(got[0], np.ldexp(x, shift))
         assert got[1] == iters
         assert got[2] == math.ldexp(res, shift)
 
     def test_rejects_bad_tolerance(self):
-        sys = csr_from_dense(np.eye(2), np.ones(2))
-        with pytest.raises(ValueError):
-            cg_solve(sys, rel_tol=0.0)
+        with pytest.raises(ValueError, match="rel_tol"):
+            cg_solve(grid_system(), rel_tol=0.0)
 
     def test_rejects_nonpositive_diagonal(self):
-        a = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ValueError):
-            cg_solve(csr_from_dense(a, np.ones(2)))
+        def fill(slots):
+            slots[4, 4, DIAG] = -1.0
+
+        with pytest.raises(ValueError, match="not strictly positive"):
+            cg_solve(with_slots(grid_system(), fill))
 
 
 class TestAgainstDenseSolve:
     def test_1d_laplacian_dirichlet_by_large_diagonal(self):
-        n = 10
-        a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        # each grid row a 1D Laplacian, its end nodes pinned by a 1e6 diagonal
+        a = 2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
         a[0, 0] = a[-1, -1] = 1e6
-        b = np.ones(n)
-        x_cg, _, _ = cg_solve(csr_from_dense(a, b), rel_tol=1e-12)
-        x_direct = np.linalg.solve(a, b)
-        assert np.allclose(x_cg, x_direct, atol=1e-9)
+
+        def fill(slots):
+            slots[...] = 0.0
+            slots[:, :, DIAG] = np.diag(a)
+            slots[:, 1:, WEST] = -1.0
+            slots[:, :-1, EAST] = -1.0
+
+        sys = replace(with_slots(grid_system(), fill), rhs=np.ones(N * N))
+        x_cg, _, _ = cg_solve(sys, rel_tol=1e-12)
+        x_direct = np.linalg.solve(a, np.ones(N))
+        assert np.allclose(x_cg.reshape(N, N), x_direct, atol=1e-9)
 
     def test_random_spd(self):
-        rng = np.random.default_rng(13)
-        m = rng.standard_normal((30, 30))
-        a = m @ m.T + 30 * np.eye(30)
-        b = rng.standard_normal(30)
-        x_cg, _, _ = cg_solve(csr_from_dense(a, b), rel_tol=1e-12)
-        assert np.allclose(x_cg, np.linalg.solve(a, b), atol=1e-10)
+        sys = grid_system(seed=13)
+        x_cg, _, _ = cg_solve(sys, rel_tol=1e-12)
+        x_direct = direct(sys)
+        assert np.abs(x_cg - x_direct).max() <= 1e-10 * np.abs(x_direct).max()
 
     def test_warm_start_converges_fast(self):
-        rng = np.random.default_rng(14)
-        m = rng.standard_normal((40, 40))
-        a = m @ m.T + 40 * np.eye(40)
-        b = rng.standard_normal(40)
-        sys = csr_from_dense(a, b)
-        x_exact = np.linalg.solve(a, b)
+        sys = grid_system(seed=14)
+        x_exact = direct(sys)
         _, iters_cold, _ = cg_solve(sys, rel_tol=1e-10)
         _, iters_warm, _ = cg_solve(sys, x0=x_exact + 1e-12, rel_tol=1e-10)
         assert iters_warm < iters_cold
@@ -104,53 +134,43 @@ class TestAgainstDenseSolve:
     def test_start_meeting_the_tolerance_is_refined_once(self):
         # A start already within the tolerance takes one PCG iteration,
         # which does not raise the true residual.
-        rng = np.random.default_rng(16)
-        m = rng.standard_normal((40, 40))
-        a = m @ m.T + 40 * np.eye(40)
-        b = rng.standard_normal(40)
-        sys = csr_from_dense(a, b)
-        x_exact = np.linalg.solve(a, b)
-        delta = rng.standard_normal(40)
+        sys = grid_system(seed=16)
+        a, b = sys.matrix(), sys.rhs
+        delta = np.random.default_rng(16).standard_normal(N * N)
         tol = 1e-6
         delta *= 0.5 * tol * np.linalg.norm(b) / np.linalg.norm(a @ delta)
-        x0 = x_exact + delta
-        start_residual = np.linalg.norm(b - a @ x0)
+        x0 = direct(sys) + delta
+        start_residual = true_residual(sys, x0)
         assert 0 < start_residual <= tol * np.linalg.norm(b)
         x, iters, res = cg_solve(sys, x0=x0, rel_tol=tol)
         assert iters == 1
-        assert res == pytest.approx(np.linalg.norm(b - a @ x), rel=1e-6)
+        assert res == pytest.approx(true_residual(sys, x), rel=1e-6)
         assert res <= start_residual
 
     def test_start_with_zero_residual_returns_at_once(self):
         # b - A x0 is exactly 0: no iteration, and no p.Ap = 0 breakdown.
-        d = np.array([2.0, 4.0, 8.0])
-        sys = csr_from_dense(np.diag(d), d)
-        x, iters, res = cg_solve(sys, x0=np.ones(3), rel_tol=1e-12)
-        assert np.array_equal(x, np.ones(3))
+        sys = grid_system()
+        x0 = np.ones(N * N)
+        sys = replace(sys, rhs=bulk._matvec(sys)(x0))
+        x, iters, res = cg_solve(sys, x0=x0, rel_tol=1e-12)
+        assert np.array_equal(x, x0)
         assert iters == 0 and res == 0.0
 
     def test_residual_criterion(self):
-        rng = np.random.default_rng(15)
-        m = rng.standard_normal((25, 25))
-        a = m @ m.T + 25 * np.eye(25)
-        b = rng.standard_normal(25)
-        sys = csr_from_dense(a, b)
+        sys = grid_system(seed=15)
+        bnorm = np.linalg.norm(sys.rhs)
         for tol in (1e-6, 1e-10, 1e-12):
             x, _, res = cg_solve(sys, rel_tol=tol)
-            assert np.linalg.norm(b - a @ x) <= tol * np.linalg.norm(b) * (1 + 1e-12)
-            assert res <= tol * np.linalg.norm(b) * (1 + 1e-12)
+            assert true_residual(sys, x) <= tol * bnorm * (1 + 1e-12)
+            assert res <= tol * bnorm * (1 + 1e-12)
 
 
 class TestNonConvergence:
     def test_carries_residual_history(self):
-        rng = np.random.default_rng(16)
-        m = rng.standard_normal((20, 20))
-        a = m @ m.T + 1e-3 * np.eye(20)
-        sys = csr_from_dense(a, rng.standard_normal(20))
         with pytest.raises(CgNonConvergence) as exc:
-            cg_solve(sys, rel_tol=1e-14, max_iter=2)
+            cg_solve(grid_system(seed=16), rel_tol=1e-14, max_iter=1)
         hist = exc.value.residual_history
-        assert len(hist) >= 2
+        assert len(hist) == 2
         assert all(h >= 0 for h in hist)
 
     def test_round_trips_through_pickle(self):
@@ -164,15 +184,20 @@ class TestNonConvergence:
 
 class TestFailFast:
     def test_non_finite_residual_raises_at_once(self):
-        a = np.array([[2.0, np.nan], [np.nan, 2.0]])
+        def fill(slots):
+            slots[4, 4, EAST] = slots[4, 5, WEST] = np.nan
+
         with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
-            cg_solve(csr_from_dense(a, np.ones(2)), x0=np.ones(2))
+            cg_solve(with_slots(grid_system(), fill), x0=np.ones(N * N))
 
     def test_indefinite_matrix_raises_on_nonpositive_curvature(self):
-        # positive diagonal, eigenvalues 3 and -1; r = p = (1, -1) has p.Ap < 0
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(CgBreakdown, match="not positive definite"):
-            cg_solve(csr_from_dense(a, np.array([1.0, -1.0])))
+        # positive diagonal, but couplings 100 times too strong: p.Ap < 0
+        def fill(slots):
+            slots[:, :, :DIAG] *= 100.0
+            slots[:, :, DIAG + 1 :] *= 100.0
+
+        with pytest.raises(CgBreakdown, match="at iteration 0: the matrix is not positive definite"):
+            cg_solve(with_slots(grid_system(), fill))
 
     def test_nan_growth_rate_fails_in_first_solve(self):
         # g = nan poisons nu(r) on the Robin edge; without the check CG ran
@@ -200,26 +225,10 @@ class TestFailFast:
         with pytest.raises(CgBreakdown, match="non-finite residual norm at iteration 0"):
             cg_solve(sys, x0=st.s)
 
-    @pytest.mark.parametrize(
-        "indptr, indices, match",
-        [
-            ([0, 1, 2, 3, 5], [0, 1, 2, 3, 10**8], "not all in"),
-            ([0, 1, 2, 3, 5], [0, 1, 2, 3, -5], "not all in"),
-            ([0, 3, 2, 4, 5], [0, 1, 2, 3, 3], "indptr decreases"),
-        ],
-    )
-    def test_malformed_csr_arrays_raise_before_any_kernel_reads_them(self, indptr, indices, match):
-        # scipy's CSR kernel and sum_duplicates check neither rule: the first
-        # case read out of bounds (a segfault), the second read before x, the
-        # third freed memory twice in matrix()
-        sys = LinearSystem(
-            np.array(indptr), np.array(indices), np.array([1.0, 1.0, 1.0, 1.0, 0.5]), np.ones(4)
-        )
-        for call in (cg_solve, LinearSystem.matrix, LinearSystem.diagonal):
-            with pytest.raises(ValueError, match=match):
-                call(sys)
-
     def test_nan_diagonal_does_not_hide_a_nonpositive_entry(self):
-        a = np.array([[np.nan, 0.0], [0.0, -1.0]])
+        def fill(slots):
+            slots[0, 0, DIAG] = np.nan
+            slots[4, 4, DIAG] = -1.0
+
         with pytest.raises(ValueError, match="not strictly positive"):
-            cg_solve(LinearSystem(np.array([0, 1, 2]), np.array([0, 1]), np.diag(a), np.ones(2)))
+            cg_solve(with_slots(grid_system(), fill))

@@ -22,7 +22,6 @@ from sulphsim.diagnostics import (
     ManufacturedFields,
     audit_step,
     mms_convergence,
-    run_mms_level,
 )
 from sulphsim.grid import Grid2D, build_grid
 from sulphsim.model import ConstraintMode, PhysParams, permeability
@@ -35,6 +34,13 @@ def make_state(grid, s, c, r=None):
 
 def zero_terms():
     return BalanceTerms(0.0, 0.0, 0.0)
+
+
+def mms_errors(mf, n, dt, t_end):
+    """The L2 and max norms of the MMS error at t_end on the n x n grid, from dt steps."""
+    grid = Grid2D(n, n)
+    s = diagnostics._mms_solution(mf, n, dt, t_end)
+    return diagnostics._error_norms(grid, s - mf.s_exact(mf.node_factors(grid.x1(), grid.x2()), t_end))
 
 
 class TestAuditStep:
@@ -211,7 +217,7 @@ class TestMmsMachinery:
         p = PhysParams()
         mf = ConstantFields(p)
         for n in (9, 17):
-            e2, em = run_mms_level(mf, n, dt=1e-3, t_end=1e-2)
+            e2, em = mms_errors(mf, n, dt=1e-3, t_end=1e-2)
             assert em < 1e-11
 
     @pytest.mark.parametrize("n", [17, 33])
@@ -223,11 +229,11 @@ class TestMmsMachinery:
         # of the same level solved directly.
         mf = ManufacturedFields(PhysParams())
         dt = 1e-5
-        warm = run_mms_level(mf, n, dt, 300 * dt)
+        warm = mms_errors(mf, n, dt, 300 * dt)
         monkeypatch.setattr(
             diagnostics, "cg_solve", lambda sys, **_: (spsolve(sys.matrix(), sys.rhs), 0, 0.0)
         )
-        direct = run_mms_level(mf, n, dt, 300 * dt)
+        direct = mms_errors(mf, n, dt, 300 * dt)
         assert abs(warm[0] - direct[0]) <= 1e-12
         assert abs(warm[1] - direct[1]) <= 1e-12
 
@@ -265,7 +271,7 @@ class TestMmsMachinery:
         # 1.25e-3 in time; 10^4 steps of dt = 1e-5 leave a time error of
         # about 0.1%.
         extrapolated = mms_convergence("spatial", 3).rows[0].err_l2
-        small_dt = run_mms_level(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
+        small_dt = mms_errors(ManufacturedFields(PhysParams()), 17, 1e-5, 0.1)[0]
         assert extrapolated == pytest.approx(small_dt, rel=1e-3)
 
     @pytest.mark.parametrize("n", [17, 33])
@@ -279,7 +285,7 @@ class TestMmsMachinery:
 
         def extrapolated(dt):
             return diagnostics._extrapolate_in_time(
-                *diagnostics._mms_job((mf, n, (dt, dt / 2, dt / 4)))
+                *(diagnostics._mms_solution(mf, n, d, t_end) for d in (dt, dt / 2, dt / 4))
             )
 
         reference = extrapolated(6.25e-4)
@@ -294,7 +300,7 @@ class TestMmsMachinery:
                 return super().boundary_flux(edge, r, t)[:1]
 
         with pytest.raises(ValueError, match=r"^boundary_flux has shape \(1,\), expected \(9,\)"):
-            run_mms_level(ShortFlux(PhysParams()), 9, 1e-3, 1e-2)
+            diagnostics._mms_solution(ShortFlux(PhysParams()), 9, 1e-3, 1e-2)
 
     def test_solves_use_the_prescribed_rugosity(self, monkeypatch):
         # each step's exchange coefficient is nu(r*) of the prescribed r at
@@ -433,11 +439,11 @@ class TestMmsLevelArguments:
     def test_rejects_bad_step_or_end_time_by_name(self, dt, t_end, name):
         mf = ManufacturedFields(PhysParams())
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            run_mms_level(mf, 9, dt, t_end)
+            diagnostics._mms_solution(mf, 9, dt, t_end)
 
     def test_zero_end_time_takes_no_step(self):
         mf = ManufacturedFields(PhysParams())
-        assert run_mms_level(mf, 9, 0.01, 0.0) == (0.0, 0.0)
+        assert mms_errors(mf, 9, 0.01, 0.0) == (0.0, 0.0)
 
 
 def off_by(mf, n, t_end, value):

@@ -1,8 +1,7 @@
-"""Preconditioner of the s-solve: fast diagonalisation vs Jacobi.
+"""Preconditioner of the s-solve: fast diagonalisation.
 
-A grid system is preconditioned with the constant-coefficient model operator
-applied through the cosine eigenbasis; a system built by hand, without a
-grid, keeps Jacobi.
+Every system is preconditioned with the constant-coefficient model operator
+of its grid, applied through the cosine eigenbasis.
 """
 
 import numpy as np
@@ -41,12 +40,12 @@ def weibull_state(n):
 
 @pytest.fixture
 def cg_iterations(monkeypatch):
-    """Record (iterations, model_coefs) of every cg_solve call."""
+    """Record the iterations of every cg_solve call."""
     log = []
 
     def recording(sys, *args, **kwargs):
         out = cg_solve(sys, *args, **kwargs)
-        log.append((out[1], sys.model_coefs))
+        log.append(out[1])
         return out
 
     monkeypatch.setattr(bulk, "cg_solve", recording)
@@ -57,7 +56,6 @@ def cg_iterations(monkeypatch):
 class TestFastDiagonalisation:
     def test_symmetric_and_positive(self):
         sys = rough_system(33, 33)
-        assert sys.model_coefs is not None
         apply = _preconditioner(sys)
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -76,14 +74,12 @@ class TestFastDiagonalisation:
         s_old = np.random.default_rng(8).uniform(0.0, 1.0, n)
         r = np.zeros(33)
         sys = assemble_s_system(grid, FieldState(0.0, s_old, c, r, r), c, r, 1e-2, p)
-        assert sys.model_coefs is not None
         x, iters, _ = cg_solve(sys, rel_tol=1e-12)
         assert iters == 1
         assert np.allclose(x, spla.spsolve(sys.matrix().tocsc(), sys.rhs), rtol=1e-11, atol=0)
 
     def test_non_square_grid(self):
         sys = rough_system(33, 17)
-        assert sys.model_coefs is not None
         x, _, res = cg_solve(sys, rel_tol=1e-12)
         x_direct = spla.spsolve(sys.matrix().tocsc(), sys.rhs)
         assert np.abs(x - x_direct).max() <= 1e-10 * np.abs(x_direct).max()
@@ -95,27 +91,15 @@ class TestFastDiagonalisation:
         for _ in range(3):
             st, _ = step(st, 0.01, grid, p)
         assert len(cg_iterations) == 3
-        assert all(m is not None for _, m in cg_iterations)
-        assert max(i for i, _ in cg_iterations) <= 12
+        assert max(cg_iterations) <= 12
 
     def test_mms_spatial_solves_after_the_first_take_one_iteration(self, cg_iterations):
-        # Jacobi took 2/3/3/5 iterations on these levels.  The first solve
-        # starts from s^0 and takes 2; every later one starts from the
-        # extrapolation of the last two steps and takes 1.
+        # The first solve starts from s^0 and takes 2; every later one
+        # starts from the extrapolation of the last two steps and takes 1.
         mf = diagnostics.ManufacturedFields(PhysParams())
         dt = 1e-5
         for n in (17, 33, 65, 129):
             cg_iterations.clear()
-            diagnostics.run_mms_level(mf, n, dt, 5 * dt)
-            assert [i for i, _ in cg_iterations] == [2, 1, 1, 1, 1]
-            assert all(m is not None for _, m in cg_iterations)
+            diagnostics._mms_solution(mf, n, dt, 5 * dt)
+            assert cg_iterations == [2, 1, 1, 1, 1]
 
-
-class TestJacobiBranch:
-    def test_hand_built_system_is_jacobi(self):
-        a = np.array([[4.0, -1.0], [-1.0, 3.0]])
-        sys = bulk.LinearSystem(
-            np.array([0, 2, 4]), np.array([0, 1, 0, 1]), a.ravel(), np.array([1.0, 2.0])
-        )
-        r = np.array([2.0, 6.0])
-        assert np.array_equal(_preconditioner(sys)(r), r / np.diag(a))

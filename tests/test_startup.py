@@ -37,9 +37,13 @@ assert _compressed._sparsetools is kernel
 MATRIX_THEN_ATTRIBUTE = """
 import sys
 import numpy as np
-from sulphsim.bulk import LinearSystem
+from sulphsim.bulk import FieldState, assemble_s_system
+from sulphsim.grid import build_grid
+from sulphsim.model import PhysParams
 
-LinearSystem(np.array([0, 1]), np.array([0]), np.array([2.0]), np.array([1.0])).matrix()
+grid = build_grid(5, 5)
+ones, r = np.ones(grid.n_nodes), np.zeros(len(grid.exposed_trace()))
+assemble_s_system(grid, FieldState(0.0, ones, ones, r, r), ones, r, 1e-2, PhysParams()).matrix()
 import scipy.sparse
 assert scipy.sparse._sparsetools is sys.modules["scipy.sparse._sparsetools"]
 """
