@@ -77,7 +77,6 @@ def audit_step(
     state: FieldState,
     p: PhysParams,
     terms: BalanceTerms,
-    grid: Grid2D,
     step_index: int = 0,
 ) -> AuditEntry:
     """Check one accepted step against the model's provable bounds.

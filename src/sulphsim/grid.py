@@ -119,7 +119,6 @@ class BoundaryTrace:
     inside) and sum to the edge length 1.
     """
 
-    edge: Edge
     indices: np.ndarray
     coords: np.ndarray
     weights: np.ndarray
@@ -167,7 +166,7 @@ def boundary_trace(grid: Grid2D, edge: Edge) -> BoundaryTrace:
         w = grid.axis_weights(nx, grid.hx)
     for a in (idx, coords, w):
         a.flags.writeable = False
-    return BoundaryTrace(edge=edge, indices=idx, coords=coords, weights=w)
+    return BoundaryTrace(indices=idx, coords=coords, weights=w)
 
 
 @dataclass(frozen=True)

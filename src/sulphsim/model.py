@@ -126,6 +126,18 @@ class PhysParams:
             v.append(f"(A9): requires 0 <= sbar <= S0 (sbar={self.sbar}, S0={self.S0})")
         if self.nu0 < 0 or self.nul < 0:
             v.append(f"nu0 and nul must be >= 0 (nu0={self.nu0}, nul={self.nul})")
+        # nu is monotone in r >= 0, and r never decreases: box mode caps it at R0
+        if self.constraint_mode is ConstraintMode.FREE and self.nul < self.nu0:
+            v.append(
+                "nu(r) >= 0: free mode leaves r uncapped, so requires nul >= nu0 "
+                f"(nu0={self.nu0}, nul={self.nul})"
+            )
+        box = self.constraint_mode is ConstraintMode.BOX and isinstance(self.nu_law, NuLaw)
+        if box and self.rl > 0 and (nu_cap := float(permeability(self.R0, self))) < 0:
+            v.append(
+                f"nu(r) >= 0: box mode requires nu(R0) >= 0 (nu(R0)={nu_cap}, "
+                f"R0={self.R0}, nu0={self.nu0}, nul={self.nul}, rl={self.rl})"
+            )
         if self.rl <= 0:
             v.append(f"rl must be > 0 (rl={self.rl})")
         if self.g < 0:

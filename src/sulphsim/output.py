@@ -35,12 +35,12 @@ def fmt(v: float) -> str:
 
 
 def profile_rows(
-    t: float,
     state: FieldState,
     grid: Grid2D,
     lines: tuple[ProfileLine, ...],
 ) -> list[tuple[float, float, float, str, float]]:
-    """Rows (t, x1, x2, field, value) for s and c on each line, r on the trace."""
+    """Rows (t, x1, x2, field, value) at t = state.t: s and c on each line, r on the trace."""
+    t = state.t
     rows = []
     for line in lines:
         coords, svals = extract_profile(state.s, grid, line)

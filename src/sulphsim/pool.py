@@ -2,9 +2,10 @@
 
 SULPHSIM_THREADS (default 1) is the number of worker processes.  Processes,
 not threads: a run's many small numpy calls hold the GIL, so threads cannot
-overlap them.  map_jobs forks its workers from the calling process; they
-pull job indices from one pipe, each index a 4-byte record, and send each
-pickled result back on a pipe of their own.
+overlap them.  map_jobs writes every job index to an unlinked temporary
+file, each index a 4-byte record, and then forks its workers from the
+calling process; they share the file's offset, so each read claims the
+next index, and send each pickled result back on a pipe of their own.
 
 Every job computes with one OpenBLAS thread, in a worker or in the calling
 process.  Two workers that each thread their GEMMs oversubscribe the cores
@@ -15,10 +16,10 @@ and the core count.  The count is set in the calling process before the
 fork and restored after the join; workers inherit it, and never set it
 themselves.  A fork stops OpenBLAS's thread pool, and the restore starts
 it again, with threads that spin on a core for about 0.13 s before they
-sleep; so the pool is then stopped again, as the fork left it, to start
-on the process's next threaded product.  This module is not a timed
-layer of the benchmark's tracer, so time spent waiting on workers counts
-as the caller's own.
+sleep; so after every restore, pooled or serial, the pool is stopped
+again, as a fork leaves it, to start on the process's next threaded
+product.  This module is not a timed layer of the benchmark's tracer, so
+time spent waiting on workers counts as the caller's own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import os
 
 from .config import ConfigError
 
-_RECORD = 4  # bytes per job index on the feed pipe; one write is atomic
+# bytes per job index in the feed file.  The workers share its offset, and a read
+# of a regular file moves it atomically (POSIX; Linux since 3.14): one read, one job
+_RECORD = 4
 _HEADER = 8  # bytes of the length before each pickled result
 
 _in_worker = False  # set in forked workers: their jobs run serially
@@ -86,7 +89,9 @@ def map_jobs(fn, jobs: list) -> list:
     that knows their costs lists the costliest first.  With one worker, or
     inside a worker process, the jobs run one after another in the calling
     process: a pool in every worker would oversubscribe the cores.  Every
-    job runs with one OpenBLAS thread (see the module docstring).
+    job runs with one OpenBLAS thread (see the module docstring).  The
+    count is process-wide, so the call assumes that no other thread of the
+    process runs BLAS meanwhile, which also makes stopping the pool safe.
 
     Workers are forked, so fn and the jobs reach them without pickling: a
     lambda or a local function serves as well as a module-level one.
@@ -110,62 +115,49 @@ def map_jobs(fn, jobs: list) -> list:
     finally:
         if threads != 1:
             blas[1](threads)
-            if workers > 1 and _blas_stop is not None:
-                _blas_stop()  # leave the pool as the fork left it (see above)
+            if _blas_stop is not None:
+                _blas_stop()  # leave the pool as a fork leaves it (see above)
 
 
 def _fork_join(fn, jobs: list, workers: int) -> list:
-    """map_jobs' pool: fork the workers, feed them indices, collect, reap."""
+    """map_jobs' pool: write every job index, fork the workers, then only collect and reap."""
     import pickle
     import select
     import signal
     import struct
+    import tempfile
 
     _flush()
-    feed_r, feed_w = os.pipe()
     children: dict[int, int] = {}  # result pipe's read end -> worker pid
     try:
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            # SIGINT waits until the child runs as a worker and the parent
-            # holds its pid, so that an interrupt cannot orphan either
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fn, jobs, feed_r, out_w, mask, (feed_w, out_r, *children))
-                children[out_r] = pid
-            finally:
-                if out_r not in children:
-                    os.close(out_r)
-                os.close(out_w)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(feed_r)
-        feed_r = -1
+        with tempfile.TemporaryFile() as feed:
+            feed.write(struct.pack(f"<{len(jobs)}I", *range(len(jobs))))
+            feed.flush()
+            feed.seek(0)
+            for _ in range(workers):
+                out_r, out_w = os.pipe()
+                # SIGINT waits until the child runs as a worker and the parent
+                # holds its pid, so that an interrupt cannot orphan either
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(fn, jobs, feed.fileno(), out_w, mask, (out_r, *children))
+                    children[out_r] = pid
+                finally:
+                    if out_r not in children:
+                        os.close(out_r)
+                    os.close(out_w)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         poller = select.poll()
-        os.set_blocking(feed_w, False)
-        poller.register(feed_w, select.POLLOUT)
         for fd in children:
             poller.register(fd, select.POLLIN)
         results = [None] * len(jobs)
         buffers = {fd: bytearray() for fd in children}
-        fed = received = 0
+        received = 0
         while children:  # until every worker has read the feed's end and exited
             for fd, _ in poller.poll():
-                if fd == feed_w:
-                    try:
-                        while fed < len(jobs):
-                            os.write(feed_w, struct.pack("<I", fed))
-                            fed += 1
-                    except BlockingIOError:
-                        continue
-                    except BrokenPipeError:  # no worker left to read: reaped below
-                        pass
-                    poller.unregister(feed_w)
-                    os.close(feed_w)
-                    feed_w = -1
-                    continue
                 chunk = os.read(fd, 1 << 16)
                 buf = buffers[fd]
                 buf += chunk
@@ -193,9 +185,6 @@ def _fork_join(fn, jobs: list, workers: int) -> list:
             )
         return results
     finally:
-        for fd in (feed_r, feed_w):
-            if fd >= 0:
-                os.close(fd)
         for fd, pid in children.items():
             os.close(fd)
             try:
@@ -227,11 +216,11 @@ def _flush() -> None:
 
 
 def _work(fn, jobs: list, feed: int, out: int, mask, inherited: tuple) -> None:
-    """A forked worker: run the job of each index read from feed, then exit.
+    """A forked worker: run the job of each index it claims from feed, then exit.
 
-    It restores the signal mask and closes the parent's pipe ends that it
-    inherited, so that the feed and the other workers' result pipes reach
-    their end when their owners close them.  It never returns.
+    It restores the signal mask and closes the result pipes' read ends that
+    it inherited, so that the other workers' result pipes reach their end
+    when their owners close them.  It never returns.
     """
     import pickle
     import signal
@@ -244,7 +233,7 @@ def _work(fn, jobs: list, feed: int, out: int, mask, inherited: tuple) -> None:
         for fd in inherited:
             os.close(fd)
         _in_worker = True
-        # each record was written whole, so a read returns one or the end
+        # one unbuffered read per record: a buffered reader would claim many
         while len(record := os.read(feed, _RECORD)) == _RECORD:
             (index,) = struct.unpack("<I", record)
             try:

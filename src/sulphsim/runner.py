@@ -79,7 +79,7 @@ def initial_state(cfg: RunConfig) -> FieldState:
     rugosity profile, drawn from Xoshiro256pp(cfg.seed), on the exposed edge."""
     p = cfg.phys()
     grid = cfg.grid()
-    r0 = init_rugosity(grid.exposed_trace(), grid, cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
+    r0 = init_rugosity(grid.exposed_trace(), cfg.rugosity_init(), Xoshiro256pp(cfg.seed), p)
     n = grid.n_nodes
     return FieldState(
         t=0.0,
@@ -115,7 +115,7 @@ def run(cfg: RunConfig) -> RunResult:
 
     def snapshot(step_idx: int, st: FieldState):
         if cfg.emit_csv:
-            rows.extend(profile_rows(st.t, st, grid, cfg.profiles))
+            rows.extend(profile_rows(st, grid, cfg.profiles))
         if cfg.emit_vtk:
             ensure_dir(out_dir)
             write_vtk(
@@ -136,7 +136,7 @@ def run(cfg: RunConfig) -> RunResult:
             metrics.cg_solves += 1
             metrics.cg_iterations_total += terms.cg_iterations
             metrics.cg_iterations_max = max(metrics.cg_iterations_max, terms.cg_iterations)
-            entry = audit_step(state, p, terms, grid, step_index=k)
+            entry = audit_step(state, p, terms, step_index=k)
             report.append(entry)
             if metrics.first_step_half_c0 is None and state.c[trace.indices].min() < 0.5 * p.C0:
                 metrics.first_step_half_c0 = k

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import BoundaryTrace, Grid2D
+from .grid import BoundaryTrace
 from .model import (
     ConstraintMode,
     PhysParams,
@@ -89,7 +89,6 @@ def weibull_sample(u: float, r0: float, m: float) -> float:
 
 def init_rugosity(
     trace: BoundaryTrace,
-    grid: Grid2D,
     init: RugosityInit,
     rng: Xoshiro256pp,
     p: PhysParams,

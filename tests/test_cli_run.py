@@ -141,8 +141,8 @@ class TestRun:
 
         original = runner_mod.audit_step
 
-        def flagging(state, p, terms, grid, step_index=0):
-            entry = original(state, p, terms, grid, step_index)
+        def flagging(state, p, terms, step_index=0):
+            entry = original(state, p, terms, step_index)
             if step_index == 3:
                 entry = dataclasses.replace(entry, flags=("synthetic failure",))
             return entry

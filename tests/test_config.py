@@ -25,6 +25,19 @@ ENUM_VARIANT = (
 )
 REMOVED_PICARD = "picard_iters must be 1: the multi-sweep Picard scheme was removed"
 
+# Inside the property tests' region, and admitted before the nu(r) >= 0 rule:
+# box mode with nu(R0) < 0, and free mode with nul < nu0.
+NEGATIVE_PERMEABILITY = [
+    "nx = 9\nny = 9\ndt = 0.019791596069254746\nn_steps = 15\nlam = 1.0\nnu_law = linear\n"
+    "constraint_mode = box\nR0 = 1.9952700087315143\nnu0 = 0.6775548298768296\n"
+    "nul = 0.019791596069254746\ng = 65.46221817648956\nr_init_mode = weibull\n"
+    "weibull_r0 = 0.2\nseed = 10486\nexposed_edge = right\n",
+    "nx = 9\nny = 9\ndt = 0.01721865647036535\nn_steps = 15\nlam = 1.0\nnu_law = parabolic\n"
+    "constraint_mode = free\nnu0 = 0.9434943629876662\nnul = 0.01721865647036535\n"
+    "g = 61.692076747904835\nr_init_mode = weibull\nweibull_r0 = 0.2\nseed = 116672721\n"
+    "exposed_edge = bottom\n",
+]
+
 
 def read_data(name):
     with open(os.path.join(DATA, name), newline="") as fh:
@@ -156,6 +169,21 @@ class TestValidation:
             text = read_data(name)
             assert "picard_iters = 1\n" in text
             assert parse_config(text).picard_iters == 1
+
+    @pytest.mark.parametrize("text", NEGATIVE_PERMEABILITY, ids=["box_linear", "free_parabolic"])
+    def test_permeability_that_turns_negative_mid_run_rejected_at_parse_time(
+        self, text, tmp_path, capsys
+    ):
+        # both used to pass parse_config and fail at step 14 with "step
+        # failed: negative boundary permeability nu(r)"
+        with pytest.raises(ConfigError, match=re.escape("nu(r) >= 0: ")):
+            parse_config(text)
+        path = tmp_path / "negative.ini"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "nu(r) >= 0: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_violation_listed(self):
         try:

@@ -48,7 +48,7 @@ class TestAuditStep:
         p = PhysParams(sbar=0.0)
         grid = build_grid(5, 5)
         st = make_state(grid, np.zeros(25), np.zeros(25))
-        entry = audit_step(st, p, zero_terms(), grid)
+        entry = audit_step(st, p, zero_terms())
         assert entry.flags == ()
         assert entry.balance_residual == 0.0
 
@@ -58,7 +58,7 @@ class TestAuditStep:
         s = np.zeros(25)
         s[12] = p.S0 + 0.1
         st = make_state(grid, s, np.full(25, 0.5))
-        entry = audit_step(st, p, zero_terms(), grid)
+        entry = audit_step(st, p, zero_terms())
         assert any("s_max" in f for f in entry.flags)
         assert entry.s_max - p.S0 == pytest.approx(0.1)
 
@@ -67,7 +67,7 @@ class TestAuditStep:
         grid = build_grid(5, 5)
         s = np.full(25, p.S0 + 0.5)
         st = make_state(grid, s, np.full(25, 0.1))
-        entry = audit_step(st, p, zero_terms(), grid)
+        entry = audit_step(st, p, zero_terms())
         assert not any("s_max" in f for f in entry.flags)
 
     def test_negative_s_flagged(self):
@@ -75,21 +75,21 @@ class TestAuditStep:
         grid = build_grid(5, 5)
         s = np.zeros(25)
         s[3] = -1e-8
-        entry = audit_step(make_state(grid, s, np.zeros(25)), p, zero_terms(), grid)
+        entry = audit_step(make_state(grid, s, np.zeros(25)), p, zero_terms())
         assert any("s_min" in f for f in entry.flags)
 
     def test_box_range_flagged(self):
         p = PhysParams(constraint_mode=ConstraintMode.BOX, R0=0.5)
         grid = build_grid(5, 5)
         r = np.full(5, 0.6)
-        entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25), r), p, zero_terms(), grid)
+        entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25), r), p, zero_terms())
         assert any("r_max" in f for f in entry.flags)
 
     def test_balance_flag(self):
         p = PhysParams()
         grid = build_grid(5, 5)
         terms = BalanceTerms(1.0, 0.5, 1.0)  # residual 0.5 vs scale 1.0
-        entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, terms, grid)
+        entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, terms)
         assert any("balance" in f for f in entry.flags)
 
     def test_never_mutates_state(self):
@@ -97,7 +97,7 @@ class TestAuditStep:
         grid = build_grid(5, 5)
         st = make_state(grid, np.linspace(0, 1, 25), np.linspace(0, 1, 25))
         before = (st.s.copy(), st.c.copy(), st.r.copy())
-        audit_step(st, p, zero_terms(), grid)
+        audit_step(st, p, zero_terms())
         assert np.array_equal(st.s, before[0])
         assert np.array_equal(st.c, before[1])
         assert np.array_equal(st.r, before[2])
@@ -107,7 +107,7 @@ class TestAuditStep:
         grid = build_grid(5, 5)
         rep = InvariantReport()
         for k in range(3):
-            rep.append(audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, zero_terms(), grid, step_index=k))
+            rep.append(audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, zero_terms(), step_index=k))
         assert len(rep.entries) == 3
         assert rep.summary()["steps"] == "3"
 

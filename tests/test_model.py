@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,25 @@ class TestPhysParamsValidation:
         bad = params(B=2.0, S0=1.0)
         assert any("(A9)" in m for m in bad.validate(enforce_global_bound=True))
         assert not any("B <= 1/S0" in m for m in bad.validate(enforce_global_bound=False))
+
+    @pytest.mark.parametrize("mode", ["free", "box"])
+    @pytest.mark.parametrize("law", ["linear", "parabolic"])
+    def test_permeability_that_can_turn_negative_rejected(self, law, mode):
+        # nu is monotone in r >= 0 and r never decreases, so nu(r) >= 0 for
+        # every r a run reaches iff nul >= nu0 (free) or nu(R0) >= 0 (box)
+        p = params(nu_law=law, constraint_mode=mode, nu0=0.1, nul=0.0, R0=2.0)
+        if mode == "free":
+            rule = "nu(r) >= 0: free mode leaves r uncapped, so requires nul >= nu0"
+            want = f"{rule} (nu0=0.1, nul=0.0)"
+            admissible = dataclasses.replace(p, nul=0.1)
+        else:
+            nu_cap = float(permeability(2.0, p))
+            assert nu_cap < 0
+            rule = "nu(r) >= 0: box mode requires nu(R0) >= 0"
+            want = f"{rule} (nu(R0)={nu_cap}, R0=2.0, nu0=0.1, nul=0.0, rl=1.0)"
+            admissible = dataclasses.replace(p, R0=1.0)  # nu(R0) = 0 exactly
+        assert p.validate() == [want]
+        assert admissible.validate() == []
 
     def test_ceiling_guarantee_detection(self):
         assert params().ceiling_guaranteed()

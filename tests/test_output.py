@@ -75,7 +75,7 @@ class TestProfileCsv:
     def test_header_and_sort_order(self, tmp_path):
         grid = build_grid(5, 5)
         st = state_on(grid)
-        rows = profile_rows(st.t, st, grid, (ProfileLine("vertical", 0.0), ProfileLine("horizontal", 0.25)))
+        rows = profile_rows(st, grid, (ProfileLine("vertical", 0.0), ProfileLine("horizontal", 0.25)))
         path = tmp_path / "profiles.csv"
         write_profiles_csv(str(path), rows)
         lines = path.read_text().strip().split("\n")
@@ -87,14 +87,14 @@ class TestProfileCsv:
     def test_fields_present(self, tmp_path):
         grid = build_grid(5, 5)
         st = state_on(grid)
-        rows = profile_rows(st.t, st, grid, (ProfileLine("vertical", 0.0),))
+        rows = profile_rows(st, grid, (ProfileLine("vertical", 0.0),))
         names = {r[3] for r in rows}
         assert names == {"s", "c", "r"}  # r rides along on the exposed trace
 
     def test_values_round_trip(self, tmp_path):
         grid = build_grid(5, 5)
         st = state_on(grid)
-        rows = profile_rows(st.t, st, grid, (ProfileLine("vertical", 0.0),))
+        rows = profile_rows(st, grid, (ProfileLine("vertical", 0.0),))
         path = tmp_path / "p.csv"
         write_profiles_csv(str(path), rows)
         for line in path.read_text().strip().split("\n")[1:]:
@@ -152,7 +152,7 @@ class TestInvariantCsv:
         grid = build_grid(5, 5)
         st = state_on(grid)
         rep = InvariantReport()
-        rep.append(audit_step(st, PhysParams(), BalanceTerms(0, 0, 0), grid, 1))
+        rep.append(audit_step(st, PhysParams(), BalanceTerms(0, 0, 0), 1))
         path = tmp_path / "inv.csv"
         from sulphsim.output import write_invariants_csv
 

@@ -171,9 +171,32 @@ def test_no_child_left_after_keyboard_interrupt(two_workers):
 
 
 def test_more_jobs_than_one_pipe_buffer_holds(two_workers):
-    # 20,000 index records are 80 kB, more than a 64 kB pipe buffer
+    # 20,000 index records are 80 kB, more than a 64 kB pipe buffer would
+    # hold: the feed file takes them all before the first fork
     jobs = list(range(20_000))
     assert map_jobs(_identity, jobs) == jobs
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "fn, error",
+    [
+        (_identity, None),
+        (_raise, ValueError),
+        (_exit_3_at_1, RuntimeError),
+        (_interrupt_parent, KeyboardInterrupt),
+    ],
+    ids=["success", "job_exception", "worker_death", "keyboard_interrupt"],
+)
+def test_no_descriptor_outlives_the_call(two_workers, fn, error):
+    # the feed file and every result pipe are closed however the call ends
+    before = set(os.listdir("/proc/self/fd"))
+    if error is None:
+        assert map_jobs(fn, [0, 1, 2, 3]) == [0, 1, 2, 3]
+    else:
+        with pytest.raises(error):
+            map_jobs(fn, [0, 1, 2, 3])
+    assert set(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
 
 
@@ -218,14 +241,19 @@ def _cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def test_calling_process_is_idle_after_the_join(two_workers):
+@pytest.mark.parametrize("then_serial", [False, True], ids=["pooled", "pooled_then_serial"])
+def test_calling_process_is_idle_after_the_join(two_workers, monkeypatch, then_serial):
     # restoring the count restarts OpenBLAS's pool, which the fork stopped;
-    # its threads would spin for about 0.13 s of CPU after every call
+    # its threads would spin for about 0.13 s of CPU after every call, and
+    # after a serial call in a process that has forked before
     get, put = blas_threads()
     before = get()
     put(2)
     try:
         assert map_jobs(_identity, [0, 1]) == [0, 1]
+        if then_serial:
+            monkeypatch.setenv("SULPHSIM_THREADS", "1")
+            assert map_jobs(_identity, [0, 1]) == [0, 1]
         assert get() == 2
         start = _cpu_s()
         time.sleep(0.3)

@@ -4,22 +4,25 @@ On 9^2 grids, with lam up to 1e4, dt up to 0.05, both permeability laws,
 both rugosity constraint modes and any of the four edges exposed (with no
 exchange through it, nu0 = nul = 0, as one case): 15 steps with the warm-started CG
 solves agree with the same 15 steps solved directly, and every step audits
-clean.  Each discrete guarantee is also checked directly, at the audit's
-tolerances: 0 <= s <= S0 when the ceiling hypotheses hold, c
-nonincreasing and inside [0, C0], r >= 0 and, in box mode, r <= R0, and
-the step's balance closed to BALANCE_REL_TOL relative.
+clean.  A draw whose nu(r) could turn negative in the run (nul < nu0 in
+free mode, nu(R0) < 0 in box mode) is outside the region, and parse_config
+must reject it by that rule.  Each discrete guarantee is also checked
+directly, at the audit's tolerances: 0 <= s <= S0 when the ceiling
+hypotheses hold, c nonincreasing and inside [0, C0], r >= 0 and, in box
+mode, r <= R0, and the step's balance closed to BALANCE_REL_TOL relative.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 import sulphsim.bulk as bulk
 from sulphsim.bulk import step
-from sulphsim.config import parse_config
+from sulphsim.config import ConfigError, parse_config
 from sulphsim.diagnostics import BALANCE_REL_TOL, C_TOL, R_TOL, S_TOL, audit_step
 from sulphsim.model import ConstraintMode
 from sulphsim.runner import initial_state
@@ -47,6 +50,20 @@ def admissible_configs(draw):
         f"nu0 = {nu0!r}\nnul = {nul!r}\ng = {g!r}\n"
         f"r_init_mode = weibull\nweibull_r0 = 0.2\nseed = {seed}\nexposed_edge = {edge}\n"
     )
+
+
+def permeability_can_turn_negative(text):
+    """Whether a drawn config lets nu(r) fall below 0 at an r its run can reach.
+
+    nu is monotone in r >= 0 and r never decreases: free mode leaves r
+    uncapped, box mode caps it at R0.  The draws leave rl at 1.
+    """
+    v = dict(line.split(" = ") for line in text.splitlines())
+    nu0, nul = float(v["nu0"]), float(v["nul"])
+    if v["constraint_mode"] == "free":
+        return nul < nu0
+    r_cap = float(v["R0"])
+    return nu0 + (nul - nu0) * (r_cap if v["nu_law"] == "linear" else r_cap * r_cap) < 0
 
 
 def broken_guarantees(old, new, terms, p):
@@ -82,7 +99,7 @@ def march(cfg):
     flags = []
     for k in range(1, cfg.n_steps + 1):
         new, terms = step(state, cfg.dt, grid, p)
-        flags += audit_step(new, p, terms, grid, step_index=k).flags
+        flags += audit_step(new, p, terms, step_index=k).flags
         flags += [f"step {k}: {b}" for b in broken_guarantees(state, new, terms, p)]
         state = new
     return state, flags
@@ -92,13 +109,17 @@ def direct_solve(sys, **_):
     return spsolve(sys.matrix().tocsc(), sys.rhs), 0, 0.0
 
 
-# An exchange of 1e-163 makes s and the right-hand side so small that the
-# squares in cg_solve's norms underflow; it once returned s = 0.
+# nul = 0 < nu0 in free mode: outside the region, so rejected at parse time.
 TINY_EXCHANGE = (
     "nx = 9\nny = 9\ndt = 0.03125\nn_steps = 15\nlam = 1.0\nnu_law = linear\n"
     "constraint_mode = free\nR0 = 0.25\nnu0 = 1.1659365132728999e-163\nnul = 0.0\ng = 0.0\n"
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 1\n"
 )
+
+# An exchange of 1e-163 makes s and the right-hand side so small that the
+# squares in cg_solve's norms underflow, so cg_solve solves every step
+# rescaled; it once returned s = 0.
+TINY_EQUAL_EXCHANGE = TINY_EXCHANGE.replace("nul = 0.0", "nul = 1.1659365132728999e-163")
 
 # The stiff corner of the region, where the predicted freeze of a single
 # sweep extrapolates the fastest-changing s.
@@ -120,9 +141,14 @@ NO_EXCHANGE = (
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(admissible_configs())
 @example(TINY_EXCHANGE)
+@example(TINY_EQUAL_EXCHANGE)
 @example(STIFF_CORNER)
 @example(NO_EXCHANGE)
 def test_warm_started_steps_match_direct_solves_and_audit_clean(text):
+    if permeability_can_turn_negative(text):
+        with pytest.raises(ConfigError, match=r"nu\(r\) >= 0: "):
+            parse_config(text)
+        return
     cfg = parse_config(text)
     got, flags = march(cfg)
     assert flags == []

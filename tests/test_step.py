@@ -20,7 +20,7 @@ from sulphsim.surface import RugosityInit, init_rugosity
 
 
 def initial_state(grid, p, r_init=None, seed=1):
-    r0 = init_rugosity(grid.exposed_trace(), grid, r_init or RugosityInit(), Xoshiro256pp(seed), p)
+    r0 = init_rugosity(grid.exposed_trace(), r_init or RugosityInit(), Xoshiro256pp(seed), p)
     n = grid.n_nodes
     return FieldState(0.0, np.zeros(n), np.full(n, p.C0), r0, np.zeros_like(r0))
 

@@ -61,7 +61,7 @@ class TestInitRugosity:
     def test_constant_zero(self):
         g = self.grid()
         r = init_rugosity(
-            g.exposed_trace(), g,
+            g.exposed_trace(),
             RugosityInit(mode=RugosityInitMode.CONSTANT, value=0.0),
             Xoshiro256pp(1), PhysParams(),
         )
@@ -71,7 +71,7 @@ class TestInitRugosity:
         # x2 nodes 0, .25, .5, .75, 1 with r0=0.2: low half 0.1, high half 0.4
         g = self.grid()
         r = init_rugosity(
-            g.exposed_trace(), g, RugosityInit(r0=0.2), Xoshiro256pp(1), PhysParams()
+            g.exposed_trace(), RugosityInit(r0=0.2), Xoshiro256pp(1), PhysParams()
         )
         assert np.allclose(r, [0.1, 0.1, 0.4, 0.4, 0.4])
 
@@ -83,15 +83,15 @@ class TestInitRugosity:
             "key 'mode': expected one of constant, piecewise, weibull, got 'bad'"
         ]
         with pytest.raises(ValueError, match="mode"):
-            init_rugosity(g.exposed_trace(), g, init, Xoshiro256pp(1), PhysParams())
+            init_rugosity(g.exposed_trace(), init, Xoshiro256pp(1), PhysParams())
 
     def test_weibull_same_seed_bit_identical(self):
         g = self.grid(ny=33)
         init = RugosityInit(mode=RugosityInitMode.WEIBULL, r0=0.2)
         p = PhysParams()
-        r1 = init_rugosity(g.exposed_trace(), g, init, Xoshiro256pp(42), p)
-        r2 = init_rugosity(g.exposed_trace(), g, init, Xoshiro256pp(42), p)
-        r3 = init_rugosity(g.exposed_trace(), g, init, Xoshiro256pp(43), p)
+        r1 = init_rugosity(g.exposed_trace(), init, Xoshiro256pp(42), p)
+        r2 = init_rugosity(g.exposed_trace(), init, Xoshiro256pp(42), p)
+        r3 = init_rugosity(g.exposed_trace(), init, Xoshiro256pp(43), p)
         assert np.array_equal(r1, r2)
         assert not np.array_equal(r1, r3)
 
@@ -99,7 +99,7 @@ class TestInitRugosity:
         g = self.grid(ny=17)
         p = PhysParams(constraint_mode=ConstraintMode.BOX, R0=0.19, weibull_r0=0.2)
         r = init_rugosity(
-            g.exposed_trace(), g,
+            g.exposed_trace(),
             RugosityInit(mode=RugosityInitMode.WEIBULL),
             Xoshiro256pp(7), p,
         )
@@ -110,7 +110,7 @@ class TestInitRugosity:
         # "constant" must not fall through to the Weibull branch, nor "box" to free mode
         g = self.grid()
         r = init_rugosity(
-            g.exposed_trace(), g,
+            g.exposed_trace(),
             RugosityInit(mode="constant", value=0.3),
             Xoshiro256pp(1), PhysParams(constraint_mode="box", R0=0.25),
         )
@@ -120,7 +120,7 @@ class TestInitRugosity:
         g = self.grid()
         with pytest.raises(ValueError):
             init_rugosity(
-                g.exposed_trace(), g,
+                g.exposed_trace(),
                 RugosityInit(lo_factor=-1.0),
                 Xoshiro256pp(1), PhysParams(),
             )
