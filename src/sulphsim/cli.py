@@ -8,7 +8,7 @@ import re
 import sys
 
 from .config import ConfigError, parse_config, parse_phys
-from .diagnostics import mms_convergence
+from .diagnostics import MMS_MIN_LEVELS, mms_convergence
 from .output import ensure_dir
 from .runner import run, sweep
 
@@ -32,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mms_p = sub.add_parser("mms", help="convergence study of the implicit solve")
     mms_p.add_argument("--study", choices=("spatial", "temporal"), required=True)
-    mms_p.add_argument("--levels", type=int, default=4, help="number of levels, >= 3 (default 4)")
+    mms_p.add_argument(
+        "--levels", type=int, default=4, help=f"number of levels, >= {MMS_MIN_LEVELS} (default 4)"
+    )
     mms_p.add_argument("--config", help="optional config supplying physical parameters")
     mms_p.add_argument("--out", help="directory for the CSV table")
 
@@ -91,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
             return result.status
 
         if args.command == "mms":
-            if args.levels < 3:
-                raise ConfigError(f"--levels must be >= 3 (got {args.levels})")
+            if args.levels < MMS_MIN_LEVELS:
+                raise ConfigError(f"--levels must be >= {MMS_MIN_LEVELS} (got {args.levels})")
             # the study reads only the physical parameters, so only they are validated
             phys = parse_phys(_read(args.config))
             try:

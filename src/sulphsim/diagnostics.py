@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ S_TOL = 1e-10
 C_TOL = 1e-12
 R_TOL = 1e-12
 BALANCE_REL_TOL = 1e-8
+MMS_MIN_LEVELS = 3  # the fewest levels that give two observed orders
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class InvariantReport:
     def summary(self) -> dict[str, str]:
         if not self.entries:
             return {"steps": "0", "flags": "0"}
+        floor = sys.float_info.min  # a subnormal scale is floored, as audit_step floors it
         worst_balance = max(
-            (e.balance_residual / e.balance_scale if e.balance_scale > 0 else 0.0)
+            (e.balance_residual / max(e.balance_scale, floor) if e.balance_scale > 0 else 0.0)
             for e in self.entries
         )
         return {
@@ -84,8 +87,9 @@ def audit_step(
     Flags: s below -1e-10, s above S0+1e-10 (only when the ceiling
     hypotheses hold), c outside [0, C0] beyond 1e-12, r outside [0, R0]
     beyond 1e-12 in box mode, and a discrete balance residual above 1e-8
-    relative to its largest constituent term.  Reporting only; the state is
-    never mutated.
+    relative to its largest constituent term, or to the smallest normal
+    float if that term is subnormal.  Reporting only; the state is never
+    mutated.
     """
     flags = []
     s_min = float(state.s.min())
@@ -110,7 +114,7 @@ def audit_step(
 
     residual = abs(terms.accumulation + terms.reaction - terms.boundary_exchange)
     scale = max(abs(terms.accumulation), abs(terms.reaction), abs(terms.boundary_exchange))
-    if scale > 0 and residual > BALANCE_REL_TOL * scale:
+    if scale > 0 and residual > BALANCE_REL_TOL * max(scale, sys.float_info.min):
         flags.append(f"balance residual {residual:.3e} above {BALANCE_REL_TOL}*{scale:.3e}")
 
     return AuditEntry(
@@ -403,8 +407,8 @@ def mms_convergence(
     Each solution runs as one job, in up to SULPHSIM_THREADS worker
     processes (see pool.map_jobs); the table does not depend on how many.
     """
-    if levels < 3:
-        raise ValueError("convergence study needs at least 3 levels")
+    if levels < MMS_MIN_LEVELS:
+        raise ValueError(f"convergence study needs at least {MMS_MIN_LEVELS} levels")
     if study == "spatial":
         sizes = [16 * 2**k + 1 for k in range(levels)]  # 17, 33, 65, ...
         plan = [(n, (SPATIAL_DT, SPATIAL_DT / 2, SPATIAL_DT / 4)) for n in sizes]

@@ -5,7 +5,9 @@ not threads: a run's many small numpy calls hold the GIL, so threads cannot
 overlap them.  map_jobs writes every job index to an unlinked temporary
 file, each index a 4-byte record, and then forks its workers from the
 calling process; they share the file's offset, so each read claims the
-next index, and send each pickled result back on a pipe of their own.
+next index.  Each worker writes its pickled results to an unlinked
+temporary file of its own, which the caller reads once it has joined that
+worker.
 
 Every job computes with one OpenBLAS thread, in a worker or in the calling
 process.  Two workers that each thread their GEMMs oversubscribe the cores
@@ -31,7 +33,6 @@ from .config import ConfigError
 # bytes per job index in the feed file.  The workers share its offset, and a read
 # of a regular file moves it atomically (POSIX; Linux since 3.14): one read, one job
 _RECORD = 4
-_HEADER = 8  # bytes of the length before each pickled result
 
 _in_worker = False  # set in forked workers: their jobs run serially
 _blas = None  # (get, set) OpenBLAS thread-count functions, found on first use
@@ -95,11 +96,12 @@ def map_jobs(fn, jobs: list) -> list:
 
     Workers are forked, so fn and the jobs reach them without pickling: a
     lambda or a local function serves as well as a module-level one.
-    Results and the exceptions fn raises must pickle.  The first exception
-    to come back reaches the caller as itself; a worker that dies before
-    it sends a result is a RuntimeError that names its exit status or
-    signal.  Either way, and on KeyboardInterrupt, the workers still
-    running are killed, and no worker outlives the call.
+    Results and the exceptions fn raises must pickle.  The caller joins the
+    workers in the order it forked them.  The first exception found that
+    way reaches the caller as itself, and a worker that died is a
+    RuntimeError that names its exit status or signal; a worker stops
+    claiming jobs after one raises.  Either way, and on KeyboardInterrupt,
+    the workers still running are killed, and no worker outlives the call.
     """
     if _in_worker:
         return [fn(job) for job in jobs]
@@ -120,78 +122,68 @@ def map_jobs(fn, jobs: list) -> list:
 
 
 def _fork_join(fn, jobs: list, workers: int) -> list:
-    """map_jobs' pool: write every job index, fork the workers, then only collect and reap."""
+    """map_jobs' pool: write every job index, fork the workers, join them in fork order.
+
+    A worker's result file never fills, so no worker waits on the caller;
+    the caller reads each file once it has joined that file's worker.
+    """
     import pickle
-    import select
     import signal
     import struct
     import tempfile
 
     _flush()
-    children: dict[int, int] = {}  # result pipe's read end -> worker pid
+    files = []  # each worker's result file, in fork order
+    pids = []  # the workers not yet reaped, in fork order
     try:
         with tempfile.TemporaryFile() as feed:
             feed.write(struct.pack(f"<{len(jobs)}I", *range(len(jobs))))
             feed.flush()
             feed.seek(0)
             for _ in range(workers):
-                out_r, out_w = os.pipe()
+                files.append(tempfile.TemporaryFile())
                 # SIGINT waits until the child runs as a worker and the parent
                 # holds its pid, so that an interrupt cannot orphan either
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _work(fn, jobs, feed.fileno(), out_w, mask, (out_r, *children))
-                    children[out_r] = pid
+                        _work(fn, jobs, feed.fileno(), files[-1].fileno(), mask)
+                    pids.append(pid)
                 finally:
-                    if out_r not in children:
-                        os.close(out_r)
-                    os.close(out_w)
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        poller = select.poll()
-        for fd in children:
-            poller.register(fd, select.POLLIN)
         results = [None] * len(jobs)
-        buffers = {fd: bytearray() for fd in children}
         received = 0
-        while children:  # until every worker has read the feed's end and exited
-            for fd, _ in poller.poll():
-                chunk = os.read(fd, 1 << 16)
-                buf = buffers[fd]
-                buf += chunk
-                while len(buf) >= _HEADER:
-                    (size,) = struct.unpack_from("<Q", buf)
-                    if len(buf) < _HEADER + size:
-                        break
-                    index, ok, value = pickle.loads(buf[_HEADER : _HEADER + size])
-                    del buf[: _HEADER + size]
-                    if not ok:
-                        raise value
-                    results[index] = value
-                    received += 1
-                if not chunk:  # the worker has exited
-                    poller.unregister(fd)
-                    os.close(fd)
-                    _, status = os.waitpid(children.pop(fd), 0)
-                    if status != 0:
-                        raise RuntimeError(
-                            f"a map_jobs worker {_describe(status)} before its jobs were done"
-                        )
+        for out in files:
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status != 0:  # a killed worker's file can end in a partial pickle
+                raise RuntimeError(
+                    f"a map_jobs worker {_describe(status)} before its jobs were done"
+                )
+            end = out.seek(0, os.SEEK_END)  # the worker's writes moved the shared offset
+            out.seek(0)
+            while out.tell() < end:
+                index, ok, value = pickle.load(out)
+                if not ok:
+                    raise value
+                results[index] = value
+                received += 1
         if received < len(jobs):  # a worker exited with status 0 inside a job
             raise RuntimeError(
                 f"map_jobs' workers exited without {len(jobs) - received} of {len(jobs)} results"
             )
         return results
     finally:
-        for fd, pid in children.items():
-            os.close(fd)
+        for pid in pids:
             try:
                 os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
+                os.waitpid(pid, 0)
+            except ProcessLookupError:  # reaped just before an interrupt
                 pass
-            os.waitpid(pid, 0)
+        for out in files:
+            out.close()
 
 
 def _describe(status: int) -> str:
@@ -215,12 +207,12 @@ def _flush() -> None:
             pass
 
 
-def _work(fn, jobs: list, feed: int, out: int, mask, inherited: tuple) -> None:
+def _work(fn, jobs: list, feed: int, out: int, mask) -> None:
     """A forked worker: run the job of each index it claims from feed, then exit.
 
-    It restores the signal mask and closes the result pipes' read ends that
-    it inherited, so that the other workers' result pipes reach their end
-    when their owners close them.  It never returns.
+    It restores the signal mask, and writes each pickled (index, ok, value)
+    to out unbuffered: os._exit drops a file object's buffer.  After a job
+    raises, it claims no more.  It never returns.
     """
     import pickle
     import signal
@@ -230,24 +222,23 @@ def _work(fn, jobs: list, feed: int, out: int, mask, inherited: tuple) -> None:
     status = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in inherited:
-            os.close(fd)
         _in_worker = True
+        ok = True
         # one unbuffered read per record: a buffered reader would claim many
-        while len(record := os.read(feed, _RECORD)) == _RECORD:
+        while ok and len(record := os.read(feed, _RECORD)) == _RECORD:
             (index,) = struct.unpack("<I", record)
             try:
                 message = pickle.dumps((index, True, fn(jobs[index])))
             except Exception as exc:
+                ok = False
                 try:
                     message = pickle.dumps((index, False, exc))
                 except Exception:
                     message = pickle.dumps((index, False, RuntimeError(repr(exc))))
-            view = memoryview(struct.pack("<Q", len(message)) + message)
+            view = memoryview(message)
             while view:
                 view = view[os.write(out, view) :]
         status = 0
     finally:
         _flush()
         os._exit(status)
-

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ class TestAuditStep:
         terms = BalanceTerms(1.0, 0.5, 1.0)  # residual 0.5 vs scale 1.0
         entry = audit_step(make_state(grid, np.zeros(25), np.zeros(25)), p, terms)
         assert any("balance" in f for f in entry.flags)
+
+    def test_subnormal_balance_is_measured_against_the_smallest_normal_float(self):
+        # subnormals carry fewer than 53 bits, so the balance's scale is
+        # floored at float_info.min: a residual of rounding size passes, a
+        # larger one still flags, and each entry keeps its unfloored scale
+        p = PhysParams()
+        grid = build_grid(5, 5)
+        st = make_state(grid, np.zeros(25), np.zeros(25))
+        rounding = audit_step(st, p, BalanceTerms(1e-311, 0.0, 1e-311 + 3e-319))
+        assert rounding.flags == ()
+        assert rounding.balance_scale == 1e-311 + 3e-319
+        imbalance = audit_step(st, p, BalanceTerms(1e-311, 0.0, 1e-311 + 1e-315))
+        assert imbalance.balance_residual > 1e-8 * sys.float_info.min
+        assert any("balance" in f for f in imbalance.flags)
+        worst = InvariantReport([rounding, imbalance]).summary()["max_rel_balance_residual"]
+        assert float(worst) == pytest.approx(1e-315 / sys.float_info.min, rel=1e-3)
 
     def test_never_mutates_state(self):
         p = PhysParams()

@@ -107,6 +107,12 @@ def _raise(job):
     raise ValueError(f"job {job} failed")
 
 
+def _raise_at_3(job):
+    if job == 3:
+        raise ValueError("job 3 failed")
+    return job
+
+
 def _exit_3_at_1(job):
     if job == 1:
         os._exit(3)
@@ -164,6 +170,18 @@ def test_no_child_left_after_success_or_a_job_exception(two_workers):
     assert_no_child_left()
 
 
+def test_a_worker_claims_no_job_after_one_raises(two_workers, tmp_path):
+    # so a call whose every job fails ends after a job per worker
+    def fail(job):
+        (tmp_path / str(job)).touch()
+        raise ValueError(f"job {job} failed")
+
+    with pytest.raises(ValueError, match=r"^job \d+ failed$"):
+        map_jobs(fail, list(range(100)))
+    assert len(list(tmp_path.iterdir())) <= 2
+    assert_no_child_left()
+
+
 def test_no_child_left_after_keyboard_interrupt(two_workers):
     with pytest.raises(KeyboardInterrupt):
         map_jobs(_interrupt_parent, [0, 1])
@@ -178,18 +196,36 @@ def test_more_jobs_than_one_pipe_buffer_holds(two_workers):
     assert_no_child_left()
 
 
+def test_results_larger_than_a_pipe_buffer_come_back_whole(two_workers, tmp_path):
+    # each pickled result is over 200 kB, more than a 64 kB pipe buffer
+    # holds.  Jobs 0 and 1 each wait until both have started, so each of
+    # the two workers returns at least one of them.
+    def job(j):
+        (tmp_path / str(j)).touch()
+        while j < 2 and not ((tmp_path / "0").exists() and (tmp_path / "1").exists()):
+            time.sleep(0.001)
+        return os.getpid(), bytes([j]) * 200_000
+
+    results = map_jobs(job, [0, 1, 2, 3])
+    assert [value for _, value in results] == [bytes([j]) * 200_000 for j in range(4)]
+    assert len({pid for pid, _ in results}) == 2
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize(
     "fn, error",
     [
         (_identity, None),
         (_raise, ValueError),
+        (_raise_at_3, ValueError),
         (_exit_3_at_1, RuntimeError),
         (_interrupt_parent, KeyboardInterrupt),
     ],
-    ids=["success", "job_exception", "worker_death", "keyboard_interrupt"],
+    ids=["success", "job_exception", "exception_at_3", "worker_death", "keyboard_interrupt"],
 )
 def test_no_descriptor_outlives_the_call(two_workers, fn, error):
-    # the feed file and every result pipe are closed however the call ends
+    # the feed file and every worker's result file are closed however the
+    # call ends; job 3's exception surfaces whichever worker ran it
     before = set(os.listdir("/proc/self/fd"))
     if error is None:
         assert map_jobs(fn, [0, 1, 2, 3]) == [0, 1, 2, 3]

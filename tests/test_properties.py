@@ -9,9 +9,11 @@ free mode, nu(R0) < 0 in box mode) is outside the region, and parse_config
 must reject it by that rule.  Each discrete guarantee is also checked
 directly, at the audit's tolerances: 0 <= s <= S0 when the ceiling
 hypotheses hold, c nonincreasing and inside [0, C0], r >= 0 and, in box
-mode, r <= R0, and the step's balance closed to BALANCE_REL_TOL relative.
+mode, r <= R0, and the step's balance closed to BALANCE_REL_TOL relative
+to its largest term, floored at the smallest normal float.
 """
 
+from sys import float_info
 from unittest import mock
 
 import numpy as np
@@ -83,7 +85,8 @@ def broken_guarantees(old, new, terms, p):
         broken.append("r above R0")
     summands = (terms.accumulation, terms.reaction, terms.boundary_exchange)
     residual = abs(terms.accumulation + terms.reaction - terms.boundary_exchange)
-    if residual > BALANCE_REL_TOL * max(abs(t) for t in summands):
+    # floored as the audit floors it: a subnormal carries fewer than 53 bits
+    if residual > BALANCE_REL_TOL * max(*map(abs, summands), float_info.min):
         broken.append("balance open")
     return broken
 
@@ -137,6 +140,15 @@ NO_EXCHANGE = (
     "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 1\nexposed_edge = bottom\n"
 )
 
+# A subnormal exchange (nu0 = nul = 2.2e-311): the balance's terms carry
+# fewer than 53 bits, and a residual of 3e-319 once flagged at step 3.
+SUBNORMAL_EXCHANGE = (
+    "nx = 9\nny = 9\ndt = 0.03973947034814995\nn_steps = 15\nlam = 9467.046888296838\n"
+    "nu_law = parabolic\nconstraint_mode = box\nR0 = 2.744108299356519\n"
+    "nu0 = 2.225073858507e-311\nnul = 2.225073858507e-311\ng = 1.9\n"
+    "r_init_mode = weibull\nweibull_r0 = 0.2\nseed = 16824\nexposed_edge = top\n"
+)
+
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(admissible_configs())
@@ -144,6 +156,7 @@ NO_EXCHANGE = (
 @example(TINY_EQUAL_EXCHANGE)
 @example(STIFF_CORNER)
 @example(NO_EXCHANGE)
+@example(SUBNORMAL_EXCHANGE)
 def test_warm_started_steps_match_direct_solves_and_audit_clean(text):
     if permeability_can_turn_negative(text):
         with pytest.raises(ConfigError, match=r"nu\(r\) >= 0: "):
